@@ -8,7 +8,7 @@ a vocab file holds one token per line where the line number is the id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError

@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .errors import DataError
 from .model import ModelConfig, decoder_logits, encode_source, log_softmax, make_batch
-from .prompt import PromptedExample, split_output
+from .prompt import PromptedExample
 
 
 @dataclass(frozen=True)

@@ -224,11 +224,11 @@ def load_hits(path: str | Path) -> list:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec is None:
-                hits.append(None)
-                continue
             try:
+                rec = json.loads(line)
+                if rec is None:
+                    hits.append(None)
+                    continue
                 hits.append(
                     RetrievalHit(
                         id=int(rec["id"]),
@@ -237,6 +237,7 @@ def load_hits(path: str | Path) -> list:
                         tgt=tuple(rec["tgt"]),
                     )
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
+                # ValueError covers JSONDecodeError and non-numeric id/score
                 raise DataError(f"{path}: bad hit record at line {lineno}: {exc}") from exc
     return hits

@@ -225,6 +225,17 @@ class TestTrainTranslateEvaluate:
         assert r.returncode == 2
         assert "different vocabulary" in r.stderr
 
+    def test_translate_rejects_truncated_checkpoint(self, artifacts, tmp_path):
+        work, _ = artifacts
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes((work / "model.ckpt").read_bytes()[:-100])
+        (tmp_path / "cut.ckpt.json").write_text((work / "model.ckpt.json").read_text())
+        r = run_cli("translate", "--ckpt", ckpt,
+                    "--data", work / "test.jsonl", "--vocab", work / "vocab.txt",
+                    "--out", tmp_path / "h.txt")
+        assert r.returncode == 2
+        assert "cut.ckpt: truncated" in r.stderr
+
     def test_evaluate_json_and_table(self, artifacts):
         work, task = artifacts
         r = run_cli("evaluate", "--hyp", task / "test.tgt", "--ref", task / "test.tgt")

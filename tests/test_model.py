@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,15 @@ class TestForward:
         assert np.allclose(softmax(x).sum(axis=-1), 1.0, atol=1e-6)
         assert np.allclose(np.exp(log_softmax(x)).sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_position_table_is_shared_read_only(self):
+        from promptmt.model import sinusoidal_positions
+
+        pe = sinusoidal_positions(9, 6)
+        assert sinusoidal_positions(9, 6) is pe
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        assert pe[0, 1] == 1.0 and pe[3, 0] == np.sin(3.0)
+
     def test_decode_path_matches_training_forward(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=7)
@@ -234,6 +245,41 @@ class TestGradients:
         untouched = [i for i in range(cfg.vocab_size) if i not in touched]
         assert np.all(grads["embed"][untouched] == 0.0)
         assert np.all(grads["embed"][touched] != 0.0)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((3, 5, 8), (3, 5, 8)),     # bld,ble->de: attention projections
+        ((3, 5, 16), (3, 5, 8)),    # blf,bld->fd: feed-forward w2
+        ((3, 5, 8), (3, 5, 16)),    # bld,blf->df: feed-forward w1
+        ((2, 7, 19), (2, 7, 8)),    # btv,btd->vd: tied embedding
+        ((1, 1, 4), (1, 1, 3)),
+    ])
+    def test_weight_grad_matches_einsum(self, shape_a, shape_b):
+        from promptmt.model import _weight_grad
+
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        np.testing.assert_allclose(
+            _weight_grad(a, b), einsum_weight_grad(a, b), rtol=1e-12
+        )
+
+    def test_weight_grad_non_contiguous_inputs(self):
+        from promptmt.model import _merge_heads, _split_heads, _weight_grad
+
+        rng = np.random.default_rng(15)
+        heads = rng.normal(size=(3, 2, 5, 4))
+        merged = _merge_heads(heads)  # what the attention backward passes in
+        other = rng.normal(size=(5, 3, 6)).transpose(1, 0, 2)
+        strided = _split_heads(rng.normal(size=(3, 5, 16)), 2)[:, 0]
+        for a, b in [(merged, other), (other, merged), (merged, strided)]:
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+            np.testing.assert_allclose(
+                _weight_grad(a, b), einsum_weight_grad(a, b), rtol=1e-12
+            )
+
+
+def einsum_weight_grad(a, b):
+    """Reference for model._weight_grad: the contraction it replaced."""
+    return np.einsum("bld,ble->de", a, b)
 
 
 def toy_vocab(n_words=8):
@@ -408,4 +454,41 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg, toy_vocab())
         (tmp_path / "model.ckpt.json").unlink()
         with pytest.raises(DataError, match="sidecar"):
+            load_checkpoint(path)
+
+    def saved(self, tmp_path, **overrides):
+        cfg = tiny_config(vocab_size=17, **overrides)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg, seed=27), cfg, toy_vocab())
+        return path
+
+    def test_truncated_payload_names_file_and_tensor(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match=r"model\.ckpt: truncated .*tensor '"):
+            load_checkpoint(path)
+
+    def test_truncated_header_names_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(DataError, match=r"model\.ckpt: truncated or corrupt"):
+            load_checkpoint(path)
+
+    def test_malformed_sidecar_names_it(self, tmp_path):
+        path = self.saved(tmp_path)
+        (tmp_path / "model.ckpt.json").write_text('{"config": ', encoding="utf-8")
+        with pytest.raises(DataError, match=r"model\.ckpt\.json: bad checkpoint sidecar"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("d_ff", 32, r"tensor 'dec0\.ff\.b1' is \(16,\) in the file, \(32,\)"),
+        ("n_dec_layers", 2, r"tensor 'dec1\.cross\.bo' is absent in the file"),
+    ])
+    def test_sidecar_config_must_match_tensors(self, tmp_path, key, value, message):
+        path = self.saved(tmp_path, d_ff=16, n_dec_layers=1)
+        sidecar_path = tmp_path / "model.ckpt.json"
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar["config"][key] = value
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(DataError, match=r"model\.ckpt: " + message):
             load_checkpoint(path)

@@ -211,3 +211,8 @@ class TestFileFormats:
         text = (tmp_path / "hits.jsonl").read_text(encoding="utf-8")
         assert text.splitlines()[1] == "null"
         assert load_hits(tmp_path / "hits.jsonl") == hits
+
+    def test_hits_reject_corrupt_line(self, tmp_path):
+        (tmp_path / "hits.jsonl").write_text('null\n{"id": 0, "sco\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"hits\.jsonl: bad hit record at line 2"):
+            load_hits(tmp_path / "hits.jsonl")
