@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_parallel
 from .decode import BeamConfig, batch_translate, write_stats, write_translations
-from .errors import DataError
+from .errors import DataError, read_text
 from .metrics import evaluate, load_tokenized
 from .model import (
     ModelConfig,
@@ -155,7 +155,7 @@ def cmd_build_dataset(args) -> int:
             hit = tm.retrieve_best(pair.source, args.threshold)
             if hit is not None:
                 similar = (hit.src, hit.tgt)
-        if trees is not None:
+        if trees is not None and trees[i] is not None:  # blank line: no parse
             template = tuple(extract_template(trees[i], depth=args.depth))
         bundles.append(KnowledgeBundle(similar=similar, terms=terms, template=template))
 
@@ -337,7 +337,7 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise DataError(f"{path}: no such file")
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 # Reserved tokens, lowest vocabulary ids in exactly this order.
 PAD = "<pad>"
@@ -63,8 +63,8 @@ def _parse_line(line: str, path: str, lineno: int) -> tuple[str, ...]:
 
 def load_parallel(source_path: str | Path, target_path: str | Path) -> list[SentencePair]:
     """Load an aligned pair of text files into SentencePairs with ids 0..n-1."""
-    src_lines = Path(source_path).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(target_path).read_text(encoding="utf-8").splitlines()
+    src_lines = read_text(source_path).splitlines()
+    tgt_lines = read_text(target_path).splitlines()
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line count mismatch: {source_path} has {len(src_lines)} lines, "
@@ -136,7 +136,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         return cls(lines)
 
     def sha256(self) -> str:
@@ -171,7 +171,7 @@ class BpeModel:
     @classmethod
     def load(cls, path: str | Path) -> "BpeModel":
         merges = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             parts = line.split(" ")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataError(f"{path}: malformed merge at line {lineno}: {line!r}")

@@ -4,6 +4,16 @@ The decoder is first driven through the given target prefix (ending in
 [Output]) with its probabilities ignored, then ordinary beam search
 continues until <eos>. Only the tokens generated after [Output] are
 returned, subword-decoded back into whole tokens.
+
+Decoding is incremental. The cross-attention keys and values are
+projected from the encoder output once per sentence and shared by every
+beam. One parallel pass (the prefill) runs <bos> and the prefix and keeps
+each decoder layer's self-attention keys and values in a DecoderState;
+each later step feeds only the newest token of each live beam, at its
+absolute position, and the state's rows are gathered by parent beam when
+the beams are re-ranked. decoder_logits, which re-runs the whole
+sequence, and greedy_decode, which is built on it, are the uncached
+reference that the cached steps are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +34,14 @@ from .corpus import (
     bpe_decode_sequence,
 )
 from .errors import DataError
-from .model import ModelConfig, decoder_logits, encode_source, log_softmax, make_batch
+from .model import (
+    DecoderState,
+    ModelConfig,
+    decoder_logits,
+    decoder_step,
+    encode_source,
+    log_softmax,
+)
 from .prompt import PromptedExample
 
 
@@ -79,43 +96,38 @@ def beam_search(
             f"exceeds max_positions {config.max_positions}"
         )
     enc_out = encode_source(params, config, src_ids, src_pad)
+    state = DecoderState(params, config, enc_out, src_pad)
 
-    # (ids, logprob); all start as the forced prefix with probability mass 1
-    beams = [(list(prefix_ids), 0.0)]
-    finished: list[tuple[list, float]] = []
+    # (ids, logprob, parent row); all start as the forced prefix with
+    # probability mass 1
+    beams = [(list(prefix_ids), 0.0, 0)]
+    finished: list[tuple[list, float, int]] = []
 
     def by_rank(candidate):
         # higher score first, lower token ids on ties
         return (-_gen_score(candidate, prefix_ids, cfg), candidate[0])
 
+    # the first step runs [bos] + prefix in one pass; each later step feeds
+    # only the newest token of every live beam
+    dec_in = np.array([[BOS_ID] + list(prefix_ids)], dtype=np.int64)
     for _ in range(cfg.max_new_tokens):
-        dec_in = np.array(
-            [[BOS_ID] + ids for ids, _ in beams], dtype=np.int64
-        )
-        n = len(beams)
-        logits = decoder_logits(
-            params,
-            config,
-            np.repeat(enc_out, n, axis=0),
-            np.repeat(src_pad, n, axis=0),
-            dec_in,
-        )
+        logits = decoder_step(params, config, state, dec_in)
         logp = log_softmax(logits[:, -1, :])
 
         candidates = []
-        for b, (ids, total) in enumerate(beams):
+        for b, (ids, total, _) in enumerate(beams):
             # stable sort on -logp keeps lower token ids first among ties
             for tok in np.argsort(-logp[b], kind="stable")[: cfg.beam_size]:
-                candidates.append((ids + [int(tok)], total + float(logp[b, tok])))
+                candidates.append((ids + [int(tok)], total + float(logp[b, tok]), b))
         candidates.sort(key=by_rank)
         candidates = candidates[: cfg.beam_size]
 
         beams = []
-        for ids, total in candidates:
-            if ids[-1] == EOS_ID:
-                finished.append((ids, total))
+        for candidate in candidates:
+            if candidate[0][-1] == EOS_ID:
+                finished.append(candidate)
             else:
-                beams.append((ids, total))
+                beams.append(candidate)
         finished.sort(key=by_rank)
         finished = finished[: cfg.beam_size]
         if not beams:
@@ -125,11 +137,13 @@ def beam_search(
             # is at the maximum generated length
             best_possible = max(
                 _score(total, cfg.max_new_tokens, cfg.length_penalty)
-                for _, total in beams
+                for _, total, _ in beams
             )
             worst_kept = _gen_score(finished[-1], prefix_ids, cfg)
             if best_possible < worst_kept:
                 break
+        state.select([parent for _, _, parent in beams])
+        dec_in = np.array([[ids[-1]] for ids, _, _ in beams], dtype=np.int64)
 
     # hypotheses still open at the token limit compete as they stand; a
     # poor early finish must not outrank a stronger truncated one
@@ -139,12 +153,17 @@ def beam_search(
 
 
 def _gen_score(candidate, prefix_ids, cfg: BeamConfig) -> float:
-    ids, total = candidate
+    ids, total = candidate[:2]
     return _score(total, len(ids) - len(prefix_ids), cfg.length_penalty)
 
 
 def greedy_decode(params, config, src_ids, src_pad, prefix_ids, max_new_tokens):
-    """Plain argmax decoding, the reference for beam_size=1."""
+    """Plain argmax decoding, the reference for beam_size=1.
+
+    It re-runs decoder_logits over the whole sequence at every step and
+    keeps no state, so comparing it with beam_search checks the cached
+    decoding against the uncached one.
+    """
     enc_out = encode_source(params, config, src_ids, src_pad)
     ids = list(prefix_ids)
     for _ in range(max_new_tokens):

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .terminology import contains_subsequence
 
 MAX_ORDER = 4
@@ -135,8 +135,7 @@ def evaluate(hypotheses: list, references: list, term_sets=None, smooth: bool = 
 
 def load_tokenized(path) -> list:
     """One whitespace-tokenized sentence per line."""
-    text = Path(path).read_text(encoding="utf-8")
-    return [line.split() for line in text.splitlines()]
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 def save_report(report: EvalReport, path) -> None:
@@ -144,8 +143,8 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return EvalReport(**data)
-    except TypeError as exc:
+        return EvalReport(**json.loads(read_text(path)))
+    except (TypeError, ValueError) as exc:
+        # ValueError covers JSONDecodeError
         raise DataError(f"{path}: not an evaluation report: {exc}") from None

@@ -248,12 +248,18 @@ def _weight_grad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _attention(params, prefix, x_q, x_kv, add_mask, n_heads, drop: _Dropout):
-    """Multi-head attention block. add_mask broadcasts onto (B,H,Lq,Lk)."""
-    p = {n: params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
-    q = _split_heads(x_q @ p["wq"] + p["bq"], n_heads)
-    k = _split_heads(x_kv @ p["wk"], n_heads)
-    v = _split_heads(x_kv @ p["wv"] + p["bv"], n_heads)
+def _project_kv(params, prefix, x, n_heads):
+    """Head-split keys and values (B, H, L, dh) of x for one attention block."""
+    k = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
+    v = _split_heads(x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"], n_heads)
+    return k, v
+
+
+def _attention(params, prefix, x_q, x_kv, k, v, add_mask, n_heads, drop: _Dropout):
+    """Multi-head attention block of x_q over keys k and values v, which
+    _project_kv made from x_kv. add_mask broadcasts onto (B,H,Lq,Lk), and
+    so do k and v: one set of keys can serve every row of x_q."""
+    q = _split_heads(x_q @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"], n_heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = q @ k.swapaxes(-1, -2) * scale
     if add_mask is not None:
@@ -261,7 +267,7 @@ def _attention(params, prefix, x_q, x_kv, add_mask, n_heads, drop: _Dropout):
     attn = softmax(scores)
     attn_d, keep = drop.apply(attn)
     ctx = _merge_heads(attn_d @ v)
-    out = ctx @ p["wo"] + p["bo"]
+    out = ctx @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
     cache = (x_q, x_kv, q, k, v, attn, attn_d, keep, ctx, scale)
     return out, cache
 
@@ -330,10 +336,11 @@ def _sublayer_backward(dy, params, ln_prefix, cache, grads):
     return dsum, dsub  # gradient w.r.t. x, gradient into the sublayer
 
 
-def _embed(params, config, ids, drop: _Dropout):
+def _embed(params, config, ids, drop: _Dropout, start: int = 0):
+    """Scaled embeddings plus positions start, start+1, ... of ids (B, L)."""
     scale = np.sqrt(config.d_model)
     emb = params["embed"][ids] * scale
-    pe = sinusoidal_positions(config.max_positions, config.d_model)[: ids.shape[1]]
+    pe = sinusoidal_positions(config.max_positions, config.d_model)[start : start + ids.shape[1]]
     x, keep = drop.apply(emb + pe)
     return x, keep
 
@@ -344,13 +351,99 @@ def _embed_backward(dx, ids, keep, scale, grads):
     np.add.at(grads["embed"], ids.reshape(-1), demb.reshape(-1, d))
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    mask = np.triu(np.full((t, t), NEG_INF), k=1)
+def _causal_mask(t: int, past: int = 0) -> np.ndarray:
+    """Mask for t new positions that see the past earlier ones and
+    themselves up to their own position."""
+    mask = np.triu(np.full((t, past + t), NEG_INF), k=past + 1)
     return mask[None, None, :, :]
 
 
 def _key_pad_mask(pad: np.ndarray) -> np.ndarray:
     return ((1.0 - pad) * NEG_INF)[:, None, None, :]
+
+
+def _encoder_layers(params, config, x, src_mask, drop: _Dropout):
+    """The encoder layers over embedded x; returns the output and the
+    per-layer backward caches."""
+    caches = []
+    for i in range(config.n_enc_layers):
+        k, v = _project_kv(params, f"enc{i}.attn", x, config.n_heads)
+        attn_out, attn_cache = _attention(
+            params, f"enc{i}.attn", x, x, k, v, src_mask, config.n_heads, drop
+        )
+        x1, sub1 = _sublayer(params, f"enc{i}.ln1", x, attn_out, drop)
+        ff_out, ff_cache = _feed_forward(params, f"enc{i}.ff", x1, drop)
+        x, sub2 = _sublayer(params, f"enc{i}.ln2", x1, ff_out, drop)
+        caches.append((attn_cache, sub1, ff_cache, sub2))
+    return x, caches
+
+
+class DecoderState:
+    """The keys and values incremental decoding reuses, per decoder layer.
+
+    cross holds the cross-attention keys and values, projected once from
+    the encoder output; with one source row they serve every hypothesis.
+    self_kv holds the self-attention keys and values of the `length`
+    positions fed so far, one row per hypothesis.
+    """
+
+    def __init__(self, params, config, enc_out, src_pad):
+        self.src_mask = _key_pad_mask(src_pad)
+        self.cross = [
+            _project_kv(params, f"dec{i}.cross", enc_out, config.n_heads)
+            for i in range(config.n_dec_layers)
+        ]
+        self.self_kv = [None] * config.n_dec_layers
+
+    @property
+    def length(self) -> int:
+        return 0 if self.self_kv[0] is None else self.self_kv[0][0].shape[2]
+
+    def append(self, layer: int, k, v):
+        """The layer's keys and values with k, v (B, H, t, dh) appended."""
+        if self.self_kv[layer] is not None:
+            past_k, past_v = self.self_kv[layer]
+            k = np.concatenate([past_k, k], axis=2)
+            v = np.concatenate([past_v, v], axis=2)
+        self.self_kv[layer] = (k, v)
+        return k, v
+
+    def select(self, rows) -> None:
+        """Keep the self-attention rows of the given hypotheses, in order."""
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+
+
+def _decoder_layers(params, config, y, enc_out, src_mask, drop: _Dropout, state=None):
+    """The decoder layers over embedded y (B, t, d); returns the output and
+    the per-layer backward caches.
+
+    Without a state, y is the whole sequence and attends causally to
+    itself, and the cross-attention projects enc_out. With a DecoderState,
+    y follows the state.length positions already fed: its keys and values
+    are appended to the state's, and the cross-attention uses the state's.
+    """
+    causal = _causal_mask(y.shape[1], 0 if state is None else state.length)
+    caches = []
+    for i in range(config.n_dec_layers):
+        k, v = _project_kv(params, f"dec{i}.self", y, config.n_heads)
+        if state is not None:
+            k, v = state.append(i, k, v)
+        self_out, self_cache = _attention(
+            params, f"dec{i}.self", y, y, k, v, causal, config.n_heads, drop
+        )
+        y1, sub1 = _sublayer(params, f"dec{i}.ln1", y, self_out, drop)
+        if state is None:
+            k, v = _project_kv(params, f"dec{i}.cross", enc_out, config.n_heads)
+        else:
+            k, v = state.cross[i]
+        cross_out, cross_cache = _attention(
+            params, f"dec{i}.cross", y1, enc_out, k, v, src_mask, config.n_heads, drop
+        )
+        y2, sub2 = _sublayer(params, f"dec{i}.ln2", y1, cross_out, drop)
+        ff_out, ff_cache = _feed_forward(params, f"dec{i}.ff", y2, drop)
+        y, sub3 = _sublayer(params, f"dec{i}.ln3", y2, ff_out, drop)
+        caches.append((self_cache, sub1, cross_cache, sub2, ff_cache, sub3))
+    return y, caches
 
 
 def forward(params: dict, config: ModelConfig, batch: Batch, dropout_rng=None):
@@ -368,37 +461,13 @@ def forward(params: dict, config: ModelConfig, batch: Batch, dropout_rng=None):
     src_mask = _key_pad_mask(batch.src_pad)
 
     x, enc_emb_keep = _embed(params, config, batch.src, drop)
-    enc_caches = []
-    for i in range(config.n_enc_layers):
-        attn_out, attn_cache = _attention(
-            params, f"enc{i}.attn", x, x, src_mask, config.n_heads, drop
-        )
-        x1, sub1 = _sublayer(params, f"enc{i}.ln1", x, attn_out, drop)
-        ff_out, ff_cache = _feed_forward(params, f"enc{i}.ff", x1, drop)
-        x2, sub2 = _sublayer(params, f"enc{i}.ln2", x1, ff_out, drop)
-        enc_caches.append((attn_cache, sub1, ff_cache, sub2))
-        x = x2
-    enc_out = x
+    enc_out, enc_caches = _encoder_layers(params, config, x, src_mask, drop)
 
     dec_in = np.concatenate(
         [np.full((b, 1), BOS_ID, dtype=np.int64), batch.out[:, :-1]], axis=1
     )
     y, dec_emb_keep = _embed(params, config, dec_in, drop)
-    causal = _causal_mask(t)
-    dec_caches = []
-    for i in range(config.n_dec_layers):
-        self_out, self_cache = _attention(
-            params, f"dec{i}.self", y, y, causal, config.n_heads, drop
-        )
-        y1, sub1 = _sublayer(params, f"dec{i}.ln1", y, self_out, drop)
-        cross_out, cross_cache = _attention(
-            params, f"dec{i}.cross", y1, enc_out, src_mask, config.n_heads, drop
-        )
-        y2, sub2 = _sublayer(params, f"dec{i}.ln2", y1, cross_out, drop)
-        ff_out, ff_cache = _feed_forward(params, f"dec{i}.ff", y2, drop)
-        y3, sub3 = _sublayer(params, f"dec{i}.ln3", y2, ff_out, drop)
-        dec_caches.append((self_cache, sub1, cross_cache, sub2, ff_cache, sub3))
-        y = y3
+    y, dec_caches = _decoder_layers(params, config, y, enc_out, src_mask, drop)
 
     logits = y @ params["embed"].T
     cache = {
@@ -479,34 +548,42 @@ def loss_and_gradients(params, config, batch, dropout_rng=None):
 def encode_source(params, config, src: np.ndarray, src_pad: np.ndarray):
     """Encoder output for decoding; no dropout, no cache retention."""
     drop = _Dropout(0.0, None)
-    src_mask = _key_pad_mask(src_pad)
     x, _ = _embed(params, config, src, drop)
-    for i in range(config.n_enc_layers):
-        attn_out, _ = _attention(params, f"enc{i}.attn", x, x, src_mask, config.n_heads, drop)
-        x, _ = _sublayer(params, f"enc{i}.ln1", x, attn_out, drop)
-        ff_out, _ = _feed_forward(params, f"enc{i}.ff", x, drop)
-        x, _ = _sublayer(params, f"enc{i}.ln2", x, ff_out, drop)
+    x, _ = _encoder_layers(params, config, x, _key_pad_mask(src_pad), drop)
     return x
 
 
-def decoder_logits(params, config, enc_out, src_pad, dec_in: np.ndarray):
-    """Logits (B, T, vocab) for explicit decoder input ids (starting <bos>)."""
-    if dec_in.shape[1] > config.max_positions:
+def _decoder_logits(params, config, dec_in, enc_out, src_mask, state=None):
+    start = 0 if state is None else state.length
+    if start + dec_in.shape[1] > config.max_positions:
         raise DataError(
-            f"decoder length {dec_in.shape[1]} exceeds max_positions {config.max_positions}"
+            f"decoder length {start + dec_in.shape[1]} exceeds max_positions "
+            f"{config.max_positions}"
         )
     drop = _Dropout(0.0, None)
-    src_mask = _key_pad_mask(src_pad)
-    causal = _causal_mask(dec_in.shape[1])
-    y, _ = _embed(params, config, dec_in, drop)
-    for i in range(config.n_dec_layers):
-        self_out, _ = _attention(params, f"dec{i}.self", y, y, causal, config.n_heads, drop)
-        y, _ = _sublayer(params, f"dec{i}.ln1", y, self_out, drop)
-        cross_out, _ = _attention(params, f"dec{i}.cross", y, enc_out, src_mask, config.n_heads, drop)
-        y, _ = _sublayer(params, f"dec{i}.ln2", y, cross_out, drop)
-        ff_out, _ = _feed_forward(params, f"dec{i}.ff", y, drop)
-        y, _ = _sublayer(params, f"dec{i}.ln3", y, ff_out, drop)
+    y, _ = _embed(params, config, dec_in, drop, start)
+    y, _ = _decoder_layers(params, config, y, enc_out, src_mask, drop, state)
     return y @ params["embed"].T
+
+
+def decoder_logits(params, config, enc_out, src_pad, dec_in: np.ndarray):
+    """Logits (B, T, vocab) for explicit decoder input ids (starting <bos>).
+
+    Runs the whole sequence with no state kept: the uncached reference for
+    decoder_step.
+    """
+    return _decoder_logits(params, config, dec_in, enc_out, _key_pad_mask(src_pad))
+
+
+def decoder_step(params, config, state: DecoderState, dec_in: np.ndarray):
+    """Logits (B, t, vocab) for ids dec_in (B, t) fed after the state's
+    positions, whose keys and values join the state.
+
+    The first call feeds <bos> and any forced prefix in one parallel pass;
+    later calls feed the newest token of each hypothesis. The logits match
+    those decoder_logits gives for the whole sequence.
+    """
+    return _decoder_logits(params, config, dec_in, None, state.src_mask, state)
 
 
 @dataclass

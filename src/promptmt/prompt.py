@@ -23,7 +23,7 @@ from .corpus import (
     SentencePair,
     bpe_encode_sequence,
 )
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -186,23 +186,22 @@ def save_dataset(examples, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> list:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                examples.append(
-                    PromptedExample(
-                        id=int(rec["id"]),
-                        input_tokens=tuple(rec["input"]),
-                        output_tokens=tuple(rec["output"]),
-                        loss_mask=tuple(int(b) for b in rec["mask"]),
-                    )
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            examples.append(
+                PromptedExample(
+                    id=int(rec["id"]),
+                    input_tokens=tuple(rec["input"]),
+                    output_tokens=tuple(rec["output"]),
+                    loss_mask=tuple(int(b) for b in rec["mask"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
-                raise DataError(f"{path}: bad example at line {lineno}: {exc}") from exc
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
+            raise DataError(f"{path}: bad example at line {lineno}: {exc}") from exc
     return examples
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 def token_edit_distance(a, b) -> int:
@@ -183,16 +183,15 @@ def save_tm(entries, path: str | Path) -> None:
 
 def load_tm(path: str | Path) -> TmIndex:
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                entries.append((rec["id"], rec["src"], rec["tgt"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}: bad TM record at line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            entries.append((rec["id"], rec["src"], rec["tgt"]))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: bad TM record at line {lineno}: {exc}") from exc
     return TmIndex(entries)
 
 
@@ -219,25 +218,24 @@ def save_hits(hits, path: str | Path) -> None:
 
 def load_hits(path: str | Path) -> list:
     hits = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if rec is None:
+                hits.append(None)
                 continue
-            try:
-                rec = json.loads(line)
-                if rec is None:
-                    hits.append(None)
-                    continue
-                hits.append(
-                    RetrievalHit(
-                        id=int(rec["id"]),
-                        score=float(rec["score"]),
-                        src=tuple(rec["src"]),
-                        tgt=tuple(rec["tgt"]),
-                    )
+            hits.append(
+                RetrievalHit(
+                    id=int(rec["id"]),
+                    score=float(rec["score"]),
+                    src=tuple(rec["src"]),
+                    tgt=tuple(rec["tgt"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                # ValueError covers JSONDecodeError and non-numeric id/score
-                raise DataError(f"{path}: bad hit record at line {lineno}: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and non-numeric id/score
+            raise DataError(f"{path}: bad hit record at line {lineno}: {exc}") from exc
     return hits

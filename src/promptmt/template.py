@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import TEMPLATE
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def extract_template(tree: ParseTree, depth: int = 4) -> list[str]:
 def load_trees(path: str | Path) -> list:
     """One tree per line; a blank line means no parse and loads as None."""
     trees = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             trees.append(None)
             continue

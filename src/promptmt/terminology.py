@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -130,22 +130,21 @@ def load_dictionary(path: str | Path) -> TermDictionary:
     Records may carry an explicit "id"; otherwise the line order assigns one.
     """
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                entries.append(
-                    TermEntry(
-                        source=tuple(rec["src"]),
-                        target=tuple(rec["tgt"]),
-                        id=int(rec.get("id", len(entries))),
-                    )
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            entries.append(
+                TermEntry(
+                    source=tuple(rec["src"]),
+                    target=tuple(rec["tgt"]),
+                    id=int(rec.get("id", len(entries))),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: bad term record at line {lineno}: {exc}") from exc
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad term record at line {lineno}: {exc}") from exc
     return TermDictionary(entries)
 
 
@@ -185,17 +184,16 @@ def save_matches(matches: list, path: str | Path) -> None:
 def load_matches(path: str | Path) -> list:
     """Read match sets back as (id, [(src_tokens, tgt_tokens), ...]) tuples."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                terms = [
-                    (tuple(src.split()), tuple(tgt.split())) for src, tgt in rec["terms"]
-                ]
-                out.append((int(rec["id"]), terms))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: bad match record at line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            terms = [
+                (tuple(src.split()), tuple(tgt.split())) for src, tgt in rec["terms"]
+            ]
+            out.append((int(rec["id"]), terms))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad match record at line {lineno}: {exc}") from exc
     return out

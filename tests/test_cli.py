@@ -149,6 +149,21 @@ class TestBuildDataset:
             assert not any(ex.loss_mask[: cut + 1])
             assert all(ex.loss_mask[cut + 1 :])
 
+    def test_blank_tree_line_gets_no_template(self, task_dir, tmp_path):
+        # a blank line is a sentence with no parse
+        trees = tmp_path / "trees.txt"
+        trees.write_text("(S (NP (NN cat)) (VP (VBD sat)))\n\n\n\n", encoding="utf-8")
+        out = tmp_path / "test.jsonl"
+        r = run_cli("build-dataset", "--src", task_dir / "test.src",
+                    "--tgt", task_dir / "test.tgt", "--trees", trees, "--depth", 1,
+                    "--inference", "--out", out)
+        assert r.returncode == 0, r.stderr
+        examples = load_dataset(out)
+        assert len(examples) == 4
+        assert "[Template]" in examples[0].input_tokens
+        for ex in examples[1:]:
+            assert "[Template]" not in ex.input_tokens + ex.output_tokens
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
@@ -267,6 +282,15 @@ class TestExitCodes:
     def test_data_error_is_two(self, tmp_path):
         assert run_cli("evaluate", "--hyp", tmp_path / "nope.txt",
                        "--ref", tmp_path / "nope.txt").returncode == 2
+
+    def test_non_utf8_input_is_two_and_named(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_bytes(b"\xff\xfet\x00h\x00e\x00\n\x00")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("the\n", encoding="utf-8")
+        r = run_cli("evaluate", "--hyp", hyp, "--ref", ref)
+        assert r.returncode == 2
+        assert f"{hyp}: not UTF-8" in r.stderr
 
     def test_help_is_zero(self):
         assert run_cli("--help").returncode == 0

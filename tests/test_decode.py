@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from promptmt import decode
 from promptmt.corpus import BOS_ID, EOS_ID, SPECIAL_TOKENS, Vocab, train_bpe
 from promptmt.decode import (
     BeamConfig,
@@ -16,7 +17,14 @@ from promptmt.decode import (
     write_translations,
 )
 from promptmt.errors import DataError
-from promptmt.model import ModelConfig, decoder_logits, encode_source, init_params, log_softmax
+from promptmt.model import (
+    DecoderState,
+    ModelConfig,
+    decoder_logits,
+    encode_source,
+    init_params,
+    log_softmax,
+)
 from promptmt.prompt import PromptedExample
 
 
@@ -95,6 +103,58 @@ class TestBeamSearch:
                 lp = generated_logprob(params, cfg, src, pad, full, 1)
                 scores.append(lp / max(len(full) - 1, 1))
             assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+
+    def test_cached_steps_follow_reranked_beams(self, monkeypatch):
+        """Each row the cached decoder scores is the full sequence of the
+        live beam it stands for, also after beams are re-ranked."""
+        reorders, rows, source = [], [], {}
+        real_step, real_select = decode.decoder_step, DecoderState.select
+
+        def select(state, parents):
+            reorders.append(list(parents))
+            rows[:] = [rows[p] for p in parents]
+            real_select(state, parents)
+
+        def step(params, cfg, state, dec_in):
+            if state.length == 0:
+                rows[:] = [list(row) for row in dec_in]
+            else:
+                rows[:] = [row + [int(t)] for row, t in zip(rows, dec_in[:, 0])]
+            logits = real_step(params, cfg, state, dec_in)
+            n = len(rows)
+            full = decoder_logits(
+                params, cfg, source["enc"].repeat(n, axis=0),
+                source["pad"].repeat(n, axis=0), np.array(rows),
+            )
+            np.testing.assert_allclose(logits[:, -1], full[:, -1], rtol=1e-12)
+            return logits
+
+        monkeypatch.setattr(DecoderState, "select", select)
+        monkeypatch.setattr(decode, "decoder_step", step)
+        rng = np.random.default_rng(6)
+        for seed in range(4):
+            cfg, params = tiny_model(seed + 30)
+            src, pad = random_source(rng, cfg.vocab_size, length=5)
+            pad[0, 3:] = 0.0
+            source.update(enc=encode_source(params, cfg, src, pad), pad=pad)
+            prefix = [int(x) for x in rng.integers(9, cfg.vocab_size, size=3)] + [8]
+            full = beam_search(params, cfg, src, pad, prefix, BeamConfig(max_new_tokens=8))
+            assert full[: len(prefix)] == prefix
+        # survivors came from different parents, out of their old order
+        assert any(order != sorted(order) for order in reorders)
+
+    def test_prefix_filling_max_positions_decodes(self):
+        cfg, params = tiny_model(12)
+        rng = np.random.default_rng(7)
+        src, pad = random_source(rng, cfg.vocab_size)
+        prefix = [9] * (cfg.max_positions - 10 - 1)
+        for width in (1, 4):
+            full = beam_search(
+                params, cfg, src, pad, prefix, BeamConfig(beam_size=width, max_new_tokens=10)
+            )
+            assert full[: len(prefix)] == prefix
+            # no <eos> comes, so the decoder is fed up to the last position
+            assert len(full) == cfg.max_positions - 1
 
     def test_prefix_longer_than_positions_rejected(self):
         cfg, params = tiny_model(5)

@@ -178,6 +178,11 @@ class TestEvaluate:
         with pytest.raises(DataError, match="not an evaluation report"):
             load_report(tmp_path / "bad.json")
 
+    def test_load_rejects_malformed_json(self, tmp_path):
+        (tmp_path / "cut.json").write_text('{"bleu": 1,', encoding="utf-8")
+        with pytest.raises(DataError, match="cut.json: not an evaluation report"):
+            load_report(tmp_path / "cut.json")
+
 
 class TestLoadTokenized:
     def test_reads_lines(self, tmp_path):
@@ -187,3 +192,8 @@ class TestLoadTokenized:
     def test_empty_line_is_empty_sentence(self, tmp_path):
         (tmp_path / "hyp.txt").write_text("the cat\n\nsat\n", encoding="utf-8")
         assert load_tokenized(tmp_path / "hyp.txt")[1] == []
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        (tmp_path / "hyp.txt").write_bytes(b"\xff\xfethe cat\n")
+        with pytest.raises(DataError, match="hyp.txt: not UTF-8"):
+            load_tokenized(tmp_path / "hyp.txt")

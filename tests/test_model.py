@@ -13,10 +13,12 @@ from promptmt.errors import DataError
 from promptmt.model import (
     Adam,
     Batch,
+    DecoderState,
     ModelConfig,
     TrainConfig,
     average_params,
     decoder_logits,
+    decoder_step,
     encode_source,
     forward,
     init_params,
@@ -163,6 +165,51 @@ class TestForward:
         dec_in = np.concatenate([[[BOS_ID]], batch.out[:, :-1]], axis=1)
         step_logits = decoder_logits(params, cfg, enc, batch.src_pad, dec_in)
         assert np.allclose(logits, step_logits, atol=1e-10)
+
+
+class TestDecoderState:
+    """Incremental decoding against the uncached decoder_logits reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_step_matches_full_decoder(self, seed):
+        cfg = tiny_config(n_dec_layers=2)
+        params = init_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        src = rng.integers(4, cfg.vocab_size, size=(1, 6), dtype=np.int64)
+        pad = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+        src[0, 4:] = 0
+        enc = encode_source(params, cfg, src, pad)
+        from promptmt.corpus import BOS_ID
+
+        # the first call runs <bos> and a multi-token prefix in one pass
+        rows = [[BOS_ID] + [int(t) for t in rng.integers(4, cfg.vocab_size, size=4)]]
+        state = DecoderState(params, cfg, enc, pad)
+        logits = decoder_step(params, cfg, state, np.array(rows))
+        full = decoder_logits(params, cfg, enc, pad, np.array(rows))
+        np.testing.assert_allclose(logits, full, rtol=1e-12)
+        for n in (3, 2, 4, 4):
+            # re-rank: rows are gathered by parent, repeated and reordered
+            parents = [int(r) for r in rng.integers(0, len(rows), size=n)]
+            state.select(parents)
+            new = rng.integers(4, cfg.vocab_size, size=(n, 1), dtype=np.int64)
+            rows = [rows[p] + [int(t)] for p, t in zip(parents, new[:, 0])]
+            logits = decoder_step(params, cfg, state, new)
+            assert logits.shape == (n, 1, cfg.vocab_size)
+            assert state.length == len(rows[0])
+            full = decoder_logits(
+                params, cfg, np.repeat(enc, n, axis=0), np.repeat(pad, n, axis=0),
+                np.array(rows),
+            )
+            np.testing.assert_allclose(logits[:, -1], full[:, -1], rtol=1e-12)
+
+    def test_feeding_past_max_positions_rejected(self):
+        cfg = tiny_config(max_positions=4)
+        params = init_params(cfg, seed=0)
+        src, pad = np.array([[5, 6]]), np.ones((1, 2))
+        state = DecoderState(params, cfg, encode_source(params, cfg, src, pad), pad)
+        decoder_step(params, cfg, state, np.array([[1, 7, 8, 9]]))
+        with pytest.raises(DataError, match="max_positions"):
+            decoder_step(params, cfg, state, np.array([[10]]))
 
 
 class TestLoss:
