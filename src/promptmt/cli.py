@@ -32,11 +32,11 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .pipeline import RunConfig, build_bundles, run_pipeline
-from .prompt import EMPTY_BUNDLE, KnowledgeBundle, build_dataset, load_dataset, save_dataset, strip_knowledge
+from .pipeline import RunConfig, build_bundles, config_from, run_pipeline
+from .prompt import build_dataset, load_dataset, save_dataset, strip_knowledge
 from .retrieval import TmIndex, load_tm, save_hits, save_tm
 from .synth import SynthConfig, generate
-from .template import build_templates, extract_template, load_trees
+from .template import build_templates, load_trees
 from .terminology import load_dictionary, load_matches, save_dictionary, save_matches
 
 
@@ -135,29 +135,16 @@ def cmd_build_dataset(args) -> int:
     pairs = load_parallel(args.src, args.tgt)
     dictionary = load_dictionary(args.dict) if args.dict else None
     tm = load_tm(args.tm) if args.tm else None
-    trees = load_trees(args.trees) if args.trees else None
-    if trees is not None and len(trees) != len(pairs):
-        raise DataError(f"{args.trees}: {len(trees)} trees but {len(pairs)} sentence pairs")
-
-    bundles = []
-    for i, pair in enumerate(pairs):
-        terms = ()
-        similar = None
-        template = None
-        if dictionary is not None:
-            matched = (
-                dictionary.match_source_only(pair.source)
-                if args.inference
-                else dictionary.match(pair.source, pair.target)
-            )
-            terms = tuple((e.source, e.target) for e in matched)
-        if tm is not None:
-            hit = tm.retrieve_best(pair.source, args.threshold)
-            if hit is not None:
-                similar = (hit.src, hit.tgt)
-        if trees is not None and trees[i] is not None:  # blank line: no parse
-            template = tuple(extract_template(trees[i], depth=args.depth))
-        bundles.append(KnowledgeBundle(similar=similar, terms=terms, template=template))
+    templates = None
+    if args.trees:
+        trees = load_trees(args.trees)
+        if len(trees) != len(pairs):
+            raise DataError(f"{args.trees}: {len(trees)} trees but {len(pairs)} sentence pairs")
+        templates = build_templates(trees, depth=args.depth)
+    bundles = build_bundles(
+        pairs, dictionary, tm, RunConfig(threshold=args.threshold),
+        templates=templates, source_only=args.inference,
+    )
 
     bpe = BpeModel.load(args.bpe) if args.bpe else None
     examples = build_dataset(
@@ -180,26 +167,8 @@ def cmd_train(args) -> int:
         n_val = max(1, len(train_set) // 10)
         train_set, val_set = train_set[:-n_val], train_set[-n_val:]
     vocab = Vocab.load(args.vocab)
-    model_cfg = ModelConfig(
-        vocab_size=len(vocab),
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        n_enc_layers=args.n_enc_layers,
-        n_dec_layers=args.n_dec_layers,
-        d_ff=args.d_ff,
-        max_positions=args.max_positions,
-        dropout=args.dropout,
-    )
-    train_cfg = TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-        average_last=args.average_last,
-        warmup_steps=args.warmup_steps,
-        schedule=args.schedule,
-    )
+    model_cfg = config_from(ModelConfig, args, vocab_size=len(vocab))
+    train_cfg = config_from(TrainConfig, args)
     if args.init:
         params, ckpt_cfg, sidecar = load_checkpoint(args.init)
         if ckpt_cfg != model_cfg:
@@ -229,11 +198,7 @@ def cmd_translate(args) -> int:
     if args.no_knowledge:
         examples = [strip_knowledge(ex) for ex in examples]
     bpe = BpeModel.load(args.bpe) if args.bpe else None
-    beam = BeamConfig(
-        beam_size=args.beam_size,
-        max_new_tokens=args.max_new_tokens,
-        length_penalty=args.length_penalty,
-    )
+    beam = config_from(BeamConfig, args)
     outputs, stats = batch_translate(params, model_cfg, vocab, examples, beam, bpe=bpe)
     write_translations(outputs, args.out)
     if args.stats:
@@ -451,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--epochs", dest="max_epochs", type=int, default=100)
     p.add_argument("--patience", type=int, default=30)
     p.add_argument("--average-last", type=int, default=0)
     p.add_argument("--warmup-steps", type=int, default=0)

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +52,7 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "d_ff": self.d_ff,
-            "max_positions": self.max_positions,
-            "dropout": self.dropout,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -210,10 +201,12 @@ class _Dropout:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # x.var would recompute the mean and the centred difference; this is
+    # the same arithmetic, so the variance is bit-identical
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     return xhat * g + b, (xhat, inv)
 
 

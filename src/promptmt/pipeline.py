@@ -15,7 +15,7 @@ configuration produce identical reports.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel
@@ -52,7 +52,6 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     knowledge: tuple = KNOWLEDGE_KINDS
     threshold: float = 0.4
-    template_depth: int = 4
     min_term_count: int = 0
     bpe_merges: int = 300
     max_input_len: int = 512
@@ -91,34 +90,23 @@ class RunConfig:
             raise ValueError("val_fraction must be in (0, 1)")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_enc_layers=self.n_enc_layers,
-            n_dec_layers=self.n_dec_layers,
-            d_ff=self.d_ff,
-            max_positions=self.max_positions,
-            dropout=self.dropout,
-        )
+        return config_from(ModelConfig, self, vocab_size=vocab_size)
 
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            batch_size=self.batch_size,
-            max_epochs=epochs,
-            patience=self.patience,
-            seed=seed,
-            warmup_steps=self.warmup_steps,
-            schedule=self.schedule,
-        )
+        return config_from(TrainConfig, self, max_epochs=epochs, seed=seed)
 
     def beam_config(self) -> BeamConfig:
-        return BeamConfig(
-            beam_size=self.beam_size,
-            max_new_tokens=self.max_new_tokens,
-            length_penalty=self.length_penalty,
-        )
+        return config_from(BeamConfig, self)
+
+
+def config_from(cls, source, **overrides):
+    """A `cls` dataclass filled from the same-named attributes of source.
+
+    source is any object (a RunConfig, an argparse namespace); fields it
+    lacks keep their defaults and keyword overrides win.
+    """
+    values = {f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
+    return cls(**{**values, **overrides})
 
 
 def prune_dictionary(dictionary: TermDictionary, pairs, min_count: int) -> TermDictionary:
@@ -133,26 +121,37 @@ def prune_dictionary(dictionary: TermDictionary, pairs, min_count: int) -> TermD
     return TermDictionary(kept)
 
 
-def build_bundles(pairs, dictionary, tm, cfg: RunConfig) -> list:
+def build_bundles(pairs, dictionary, tm, cfg: RunConfig, *, templates=None,
+                  source_only=False) -> list:
     """One KnowledgeBundle per pair from the enabled knowledge kinds.
 
     Term entries come from matching both sides, so the bundle carries the
-    rendering the reference actually uses; the similar sentence is the
-    best fuzzy TM hit above the threshold, if any.
+    rendering the reference actually uses; source_only matches the source
+    alone, for inference data whose targets are not references. The
+    similar sentence is the best fuzzy TM hit above the threshold, if any.
+    templates, aligned with pairs, holds one label sequence per pair as
+    template.build_templates returns them (None: no parse); a template
+    becomes the same labels on both sides.
     """
+    if templates is None:
+        templates = [None] * len(pairs)
     bundles = []
-    for pair in pairs:
+    for pair, labels in zip(pairs, templates, strict=True):
         terms = ()
         similar = None
         if "term" in cfg.knowledge and dictionary is not None:
-            terms = tuple(
-                (e.source, e.target) for e in dictionary.match(pair.source, pair.target)
+            matched = (
+                dictionary.match_source_only(pair.source)
+                if source_only
+                else dictionary.match(pair.source, pair.target)
             )
+            terms = tuple((e.source, e.target) for e in matched)
         if "sent" in cfg.knowledge and tm is not None:
             hit = tm.retrieve_best(pair.source, cfg.threshold)
             if hit is not None:
                 similar = (hit.src, hit.tgt)
-        bundles.append(KnowledgeBundle(similar=similar, terms=terms))
+        template = None if labels is None else (tuple(labels), tuple(labels))
+        bundles.append(KnowledgeBundle(similar=similar, terms=terms, template=template))
     return bundles
 
 

@@ -14,9 +14,11 @@ import pytest
 from promptmt.cli import load_config_file
 from promptmt.errors import DataError
 from promptmt.metrics import load_tokenized
-from promptmt.prompt import load_dataset
+from promptmt.pipeline import RunConfig, build_bundles
+from promptmt.prompt import build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_hits, load_tm
-from promptmt.corpus import BpeModel
+from promptmt.terminology import load_dictionary
+from promptmt.corpus import BpeModel, Vocab, load_parallel
 
 
 def run_cli(*args, cwd=None):
@@ -127,6 +129,11 @@ class TestExtractTemplates:
         assert out.read_text().strip() == "NP VP"
 
 
+SAT = "the cat sat on the mat".split()
+ASSIS = "le chat assis sur le tapis".split()
+SAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NP (DT the) (NN mat)))))"
+
+
 class TestBuildDataset:
     def test_inference_examples_have_no_reference(self, task_dir, tmp_path):
         out = tmp_path / "test.jsonl"
@@ -163,6 +170,58 @@ class TestBuildDataset:
         assert "[Template]" in examples[0].input_tokens
         for ex in examples[1:]:
             assert "[Template]" not in ex.input_tokens + ex.output_tokens
+
+    @pytest.fixture
+    def parsed(self, tmp_path):
+        """Two pairs, the first with a parse tree and the second without."""
+        (tmp_path / "src.txt").write_text(" ".join(SAT) + "\na dog\n", encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text(" ".join(ASSIS) + "\nun chien\n", encoding="utf-8")
+        (tmp_path / "trees.txt").write_text(SAT_TREE + "\n\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("depth, labels", [
+        (1, ["NP", "VP"]),
+        (2, ["the", "cat", "sat", "PP"]),  # words above the cut stay words
+    ])
+    def test_template_block_layout_training(self, parsed, depth, labels):
+        out = parsed / "train.jsonl"
+        r = run_cli("build-dataset", "--src", parsed / "src.txt", "--tgt", parsed / "tgt.txt",
+                    "--trees", parsed / "trees.txt", "--depth", depth, "--out", out)
+        assert r.returncode == 0, r.stderr
+        first, second = load_dataset(out)
+        # the same whole labels on both sides, ahead of [Input] / [Output]
+        assert list(first.input_tokens) == ["[Template]", *labels, "[Input]", *SAT]
+        assert list(first.output_tokens) == ["[Template]", *labels, "[Output]", *ASSIS, "<eos>"]
+        assert list(second.input_tokens) == ["[Input]", "a", "dog"]
+        assert list(second.output_tokens) == ["[Output]", "un", "chien", "<eos>"]
+
+    def test_template_block_layout_inference(self, parsed):
+        out = parsed / "test.jsonl"
+        r = run_cli("build-dataset", "--src", parsed / "src.txt", "--tgt", parsed / "tgt.txt",
+                    "--trees", parsed / "trees.txt", "--depth", 1, "--inference", "--out", out)
+        assert r.returncode == 0, r.stderr
+        first, second = load_dataset(out)
+        assert list(first.input_tokens) == ["[Template]", "NP", "VP", "[Input]", *SAT]
+        assert list(first.output_tokens) == ["[Template]", "NP", "VP", "[Output]"]
+        assert list(second.output_tokens) == ["[Output]"]
+
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_writes_the_pipeline_bundles(self, task_dir, tmp_path, inference):
+        out = tmp_path / "cli.jsonl"
+        r = run_cli("build-dataset", "--src", task_dir / "test.src",
+                    "--tgt", task_dir / "test.tgt", "--dict", task_dir / "dict.jsonl",
+                    "--tm", task_dir / "tm.jsonl", "--lambda", 0.3,
+                    *(["--inference"] if inference else []), "--out", out)
+        assert r.returncode == 0, r.stderr
+        pairs = load_parallel(task_dir / "test.src", task_dir / "test.tgt")
+        bundles = build_bundles(
+            pairs, load_dictionary(task_dir / "dict.jsonl"), load_tm(task_dir / "tm.jsonl"),
+            RunConfig(threshold=0.3), source_only=inference,
+        )
+        assert any(b.similar is not None for b in bundles)
+        save_dataset(build_dataset(pairs, bundles, include_target=not inference),
+                     tmp_path / "lib.jsonl")
+        assert out.read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +266,20 @@ class TestTrainTranslateEvaluate:
         work, _ = artifacts
         assert (work / "model.ckpt").exists()
         assert "vocab_sha256" in json.loads((work / "model.ckpt.json").read_text())
+
+    def test_sidecar_config_follows_train_flags(self, artifacts):
+        work, _ = artifacts
+        config = json.loads((work / "model.ckpt.json").read_text())["config"]
+        assert config == {
+            "vocab_size": len(Vocab.load(work / "vocab.txt")),
+            "d_model": 16,
+            "n_heads": 2,
+            "n_enc_layers": 2,
+            "n_dec_layers": 2,
+            "d_ff": 32,
+            "max_positions": 96,
+            "dropout": 0.1,
+        }
 
     def test_translate_writes_one_line_per_example(self, artifacts):
         work, _ = artifacts

@@ -324,9 +324,33 @@ class TestGradients:
             )
 
 
+    @pytest.mark.parametrize("shape", [(64, 17, 64), (4, 1, 64), (64, 14, 48), (100, 30, 64)])
+    def test_layer_norm_is_bit_identical_to_var_reference(self, shape):
+        from promptmt.model import _layer_norm
+
+        rng = np.random.default_rng(16)
+        x = rng.normal(loc=0.3, scale=2.0, size=shape)
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        y, (xhat, inv) = _layer_norm(x, g, b)
+        ref_y, (ref_xhat, ref_inv) = var_layer_norm(x, g, b)
+        np.testing.assert_array_equal(inv, ref_inv)
+        np.testing.assert_array_equal(xhat, ref_xhat)
+        np.testing.assert_array_equal(y, ref_y)
+
+
 def einsum_weight_grad(a, b):
     """Reference for model._weight_grad: the contraction it replaced."""
     return np.einsum("bld,ble->de", a, b)
+
+
+def var_layer_norm(x, g, b):
+    """Reference for model._layer_norm: the x.var form it replaced."""
+    from promptmt.model import LN_EPS
+
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv)
 
 
 def toy_vocab(n_words=8):
