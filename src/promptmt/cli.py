@@ -34,9 +34,9 @@ from .model import (
 )
 from .pipeline import RunConfig, build_bundles, config_from, run_pipeline
 from .prompt import build_dataset, load_dataset, save_dataset, strip_knowledge
-from .retrieval import TmIndex, load_tm, save_hits, save_tm
+from .retrieval import TmIndex, hit_record, load_tm, save_hits, save_tm
 from .synth import SynthConfig, generate
-from .template import build_templates, load_trees
+from .template import build_templates, check_yield, load_trees
 from .terminology import load_dictionary, load_matches, save_dictionary, save_matches
 
 
@@ -48,14 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_lines(path) -> list:
-    """Tokenized text, one whitespace-split sentence per line."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    return load_tokenized(path)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -63,7 +55,7 @@ def _read_lines(path) -> list:
 def cmd_bpe_train(args) -> int:
     lines = []
     for path in args.corpus:
-        lines += _read_lines(path)
+        lines += load_tokenized(path)
     model = train_bpe(lines, num_merges=args.merges)
     model.save(args.out)
     print(f"learned {len(model.merges)} merges -> {args.out}")
@@ -81,20 +73,13 @@ def cmd_build_tm(args) -> int:
 def cmd_retrieve(args) -> int:
     pairs = load_parallel(args.tm_src, args.tm_tgt)
     index = TmIndex.from_pairs(pairs)
-    queries = _read_lines(args.query)
+    queries = load_tokenized(args.query)
     hits = index.retrieve_all(queries, args.threshold)
     if args.out:
         save_hits(hits, args.out)
     else:
         for hit in hits:
-            if hit is None:
-                print("null")
-            else:
-                print(json.dumps(
-                    {"id": hit.id, "score": hit.score,
-                     "src": list(hit.src), "tgt": list(hit.tgt)},
-                    ensure_ascii=False,
-                ))
+            print(json.dumps(hit_record(hit), ensure_ascii=False))
     n = sum(1 for h in hits if h is not None)
     print(f"{n}/{len(hits)} queries above {args.threshold}", file=sys.stderr)
     return 0
@@ -102,9 +87,9 @@ def cmd_retrieve(args) -> int:
 
 def cmd_match_terms(args) -> int:
     dictionary = load_dictionary(args.dict)
-    sources = _read_lines(args.src)
+    sources = load_tokenized(args.src)
     if args.tgt:
-        targets = _read_lines(args.tgt)
+        targets = load_tokenized(args.tgt)
         if len(targets) != len(sources):
             raise DataError(
                 f"{args.src}: {len(sources)} sentences but {args.tgt}: {len(targets)}"
@@ -126,7 +111,8 @@ def cmd_extract_templates(args) -> int:
     templates = build_templates(trees, depth=args.depth)
     with open(args.out, "w", encoding="utf-8") as fh:
         for template in templates:
-            fh.write(" ".join(template) + "\n")
+            # a blank tree line (no parse) gives a blank template line
+            fh.write(" ".join(template or ()) + "\n")
     print(f"wrote {len(templates)} templates -> {args.out}")
     return 0
 
@@ -140,6 +126,8 @@ def cmd_build_dataset(args) -> int:
         trees = load_trees(args.trees)
         if len(trees) != len(pairs):
             raise DataError(f"{args.trees}: {len(trees)} trees but {len(pairs)} sentence pairs")
+        for lineno, (tree, pair) in enumerate(zip(trees, pairs), 1):
+            check_yield(tree, pair.source, f"{args.trees}: line {lineno}")
         templates = build_templates(trees, depth=args.depth)
     bundles = build_bundles(
         pairs, dictionary, tm, RunConfig(threshold=args.threshold),
@@ -209,8 +197,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = load_tokenized(args.hyp)
+    refs = load_tokenized(args.ref)
     term_sets = None
     if args.terms:
         matches = load_matches(args.terms)
@@ -226,17 +214,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_regular=args.n_regular,
-        n_ambiguous_terms=args.n_ambiguous_terms,
-        renderings_per_term=args.renderings_per_term,
-        len_min=args.len_min,
-        len_max=args.len_max,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        term_position=args.term_position,
-        seed=args.seed,
-    )
+    cfg = config_from(SynthConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_pairs, test_pairs, dictionary, tm_entries = generate(cfg)

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the reader of user text
-files that turns undecodable bytes into one of them."""
+"""Exception types shared across the toolkit, the readers of user files that
+turn bad bytes and bad records into one of them, and the JSONL writer."""
 
+import json
 from pathlib import Path
 
 
@@ -22,3 +23,43 @@ def read_text(path) -> str:
         raise DataError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from exc
+
+
+def read_jsonl(path, what: str, parse) -> list:
+    """[parse(record, index), ...] over the JSON values of a JSONL file.
+
+    Blank lines are skipped and index counts records, not lines. Any
+    KeyError, TypeError, ValueError (which covers bad JSON) or DataError
+    from a record becomes a DataError naming the file and the line.
+    """
+    out = []
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(parse(json.loads(line), len(out)))
+        except (KeyError, TypeError, ValueError, DataError) as exc:
+            raise DataError(f"{path}: bad {what} record at line {lineno}: {exc}") from exc
+    return out
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON value per line, non-ASCII text kept as is."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def tokens(value) -> tuple:
+    """A token field of a record: a list of strings, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(tok, str) for tok in value):
+        raise DataError(f"expected a list of string tokens, got {value!r}")
+    return tuple(value)
+
+
+def integer(value) -> int:
+    """An integer field of a record (ids, mask bits); bools are not integers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"expected an integer, got {value!r}")
+    return value

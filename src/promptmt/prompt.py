@@ -9,7 +9,6 @@ knowledge prefix but is never penalized on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .corpus import (
     SentencePair,
     bpe_encode_sequence,
 )
-from .errors import DataError, read_text
+from .errors import DataError, integer, read_jsonl, tokens, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -168,41 +167,30 @@ def strip_knowledge(example: PromptedExample) -> PromptedExample:
 
 def save_dataset(examples, path: str | Path) -> None:
     """Write examples as JSONL {"id", "input", "output", "mask"} records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.id,
-                        "input": list(ex.input_tokens),
-                        "output": list(ex.output_tokens),
-                        "mask": list(ex.loss_mask),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "id": ex.id,
+                "input": list(ex.input_tokens),
+                "output": list(ex.output_tokens),
+                "mask": list(ex.loss_mask),
+            }
+            for ex in examples
+        ),
+    )
 
 
 def load_dataset(path: str | Path) -> list:
-    examples = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            examples.append(
-                PromptedExample(
-                    id=int(rec["id"]),
-                    input_tokens=tuple(rec["input"]),
-                    output_tokens=tuple(rec["output"]),
-                    loss_mask=tuple(int(b) for b in rec["mask"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
-            raise DataError(f"{path}: bad example at line {lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(
+        path, "example",
+        lambda rec, _: PromptedExample(
+            id=integer(rec["id"]),
+            input_tokens=tokens(rec["input"]),
+            output_tokens=tokens(rec["output"]),
+            loss_mask=tuple(integer(b) for b in rec["mask"]),
+        ),
+    )
 
 
 def build_dataset(

@@ -8,13 +8,12 @@ matches so a sentence never retrieves itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError, integer, read_jsonl, tokens, write_jsonl
 
 
 def token_edit_distance(a, b) -> int:
@@ -170,72 +169,45 @@ class TmIndex:
 
 def save_tm(entries, path: str | Path) -> None:
     """Write a translation memory as JSONL {"id", "src", "tgt"} records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for eid, src, tgt in entries:
-            fh.write(
-                json.dumps(
-                    {"id": int(eid), "src": list(src), "tgt": list(tgt)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        ({"id": int(eid), "src": list(src), "tgt": list(tgt)} for eid, src, tgt in entries),
+    )
 
 
 def load_tm(path: str | Path) -> TmIndex:
-    entries = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            entries.append((rec["id"], rec["src"], rec["tgt"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: bad TM record at line {lineno}: {exc}") from exc
-    return TmIndex(entries)
+    entries = read_jsonl(
+        path, "TM",
+        lambda rec, _: (integer(rec["id"]), tokens(rec["src"]), tokens(rec["tgt"])),
+    )
+    try:
+        return TmIndex(entries)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def hit_record(hit: RetrievalHit | None):
+    """The JSONL value of one retrieval result: None (null) for a miss."""
+    if hit is None:
+        return None
+    return {"id": hit.id, "score": hit.score, "src": list(hit.src), "tgt": list(hit.tgt)}
 
 
 def save_hits(hits, path: str | Path) -> None:
-    """Write retrieval results as JSONL, the literal string "null" for misses."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for hit in hits:
-            if hit is None:
-                fh.write("null\n")
-            else:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": hit.id,
-                            "score": hit.score,
-                            "src": list(hit.src),
-                            "tgt": list(hit.tgt),
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+    """Write retrieval results as JSONL, the literal null for misses."""
+    write_jsonl(path, map(hit_record, hits))
+
+
+def _hit(rec, _):
+    if rec is None:
+        return None
+    return RetrievalHit(
+        id=integer(rec["id"]),
+        score=float(rec["score"]),
+        src=tokens(rec["src"]),
+        tgt=tokens(rec["tgt"]),
+    )
 
 
 def load_hits(path: str | Path) -> list:
-    hits = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            if rec is None:
-                hits.append(None)
-                continue
-            hits.append(
-                RetrievalHit(
-                    id=int(rec["id"]),
-                    score=float(rec["score"]),
-                    src=tuple(rec["src"]),
-                    tgt=tuple(rec["tgt"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            # ValueError covers JSONDecodeError and non-numeric id/score
-            raise DataError(f"{path}: bad hit record at line {lineno}: {exc}") from exc
-    return hits
+    return read_jsonl(path, "hit", _hit)

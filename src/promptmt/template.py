@@ -153,6 +153,16 @@ def build_templates(trees, depth: int = 4) -> list:
     return [None if t is None else extract_template(t, depth) for t in trees]
 
 
+def check_yield(tree, sentence, where: str) -> None:
+    """A DataError starting with where unless the tree's words are the
+    sentence; a None tree (no parse) always passes."""
+    if tree is not None and tuple(tree.words()) != tuple(sentence):
+        raise DataError(
+            f"{where}: the tree yields {' '.join(tree.words())!r}, "
+            f"not the sentence {' '.join(sentence)!r}"
+        )
+
+
 def build_template_dataset(pairs, src_trees, tgt_trees, depth: int = 4) -> list:
     """Training rows for a template predictor.
 
@@ -169,10 +179,8 @@ def build_template_dataset(pairs, src_trees, tgt_trees, depth: int = 4) -> list:
         )
     rows = []
     for pair, src_tree, tgt_tree in zip(pairs, src_trees, tgt_trees):
-        if src_tree is not None and tuple(src_tree.words()) != tuple(pair.source):
-            raise DataError(f"pair {pair.id}: source tree yield differs from the sentence")
-        if tgt_tree is not None and tuple(tgt_tree.words()) != tuple(pair.target):
-            raise DataError(f"pair {pair.id}: target tree yield differs from the sentence")
+        check_yield(src_tree, pair.source, f"pair {pair.id} source")
+        check_yield(tgt_tree, pair.target, f"pair {pair.id} target")
         inp = list(pair.source)
         if src_tree is not None:
             inp += [TEMPLATE] + extract_template(src_tree, depth)

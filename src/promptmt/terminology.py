@@ -8,12 +8,11 @@ appears as one of the target sentence. Overlapping matches are all kept.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, read_text
+from .errors import DataError, integer, read_jsonl, tokens, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -127,37 +126,27 @@ def contains_subsequence(haystack, needle) -> bool:
 def load_dictionary(path: str | Path) -> TermDictionary:
     """Read a dictionary from JSONL {"src": [...], "tgt": [...]} records.
 
-    Records may carry an explicit "id"; otherwise the line order assigns one.
+    Records may carry an explicit "id"; otherwise the record order assigns one.
     """
-    entries = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            entries.append(
-                TermEntry(
-                    source=tuple(rec["src"]),
-                    target=tuple(rec["tgt"]),
-                    id=int(rec.get("id", len(entries))),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad term record at line {lineno}: {exc}") from exc
-    return TermDictionary(entries)
+    entries = read_jsonl(
+        path, "term",
+        lambda rec, index: TermEntry(
+            source=tokens(rec["src"]),
+            target=tokens(rec["tgt"]),
+            id=integer(rec.get("id", index)),
+        ),
+    )
+    try:
+        return TermDictionary(entries)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_dictionary(dictionary: TermDictionary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in dictionary.entries:
-            fh.write(
-                json.dumps(
-                    {"id": e.id, "src": list(e.source), "tgt": list(e.target)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        ({"id": e.id, "src": list(e.source), "tgt": list(e.target)} for e in dictionary.entries),
+    )
 
 
 def save_matches(matches: list, path: str | Path) -> None:
@@ -165,35 +154,24 @@ def save_matches(matches: list, path: str | Path) -> None:
 
     Term sides are rendered as space-joined strings.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent_id, entries in matches:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": int(sent_id),
-                        "terms": [
-                            [" ".join(e.source), " ".join(e.target)] for e in entries
-                        ],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "id": int(sent_id),
+                "terms": [[" ".join(e.source), " ".join(e.target)] for e in entries],
+            }
+            for sent_id, entries in matches
+        ),
+    )
+
+
+def _match(rec, _):
+    # each term is a [src, tgt] pair of space-joined strings
+    sides = [tokens(term) for term in rec["terms"]]
+    return integer(rec["id"]), [(tuple(src.split()), tuple(tgt.split())) for src, tgt in sides]
 
 
 def load_matches(path: str | Path) -> list:
     """Read match sets back as (id, [(src_tokens, tgt_tokens), ...]) tuples."""
-    out = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            terms = [
-                (tuple(src.split()), tuple(tgt.split())) for src, tgt in rec["terms"]
-            ]
-            out.append((int(rec["id"]), terms))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad match record at line {lineno}: {exc}") from exc
-    return out
+    return read_jsonl(path, "match", _match)

@@ -5,6 +5,7 @@ argparse wiring, stdout contract, and exit codes are what a shell user
 sees.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from promptmt.prompt import build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_hits, load_tm
 from promptmt.terminology import load_dictionary
 from promptmt.corpus import BpeModel, Vocab, load_parallel
+from promptmt.synth import SynthConfig, generate
 
 
 def run_cli(*args, cwd=None):
@@ -56,6 +58,24 @@ class TestSynth:
     def test_rejects_bad_lengths(self, tmp_path):
         r = run_cli("synth", "--out", tmp_path, "--len-min", 9, "--len-max", 3)
         assert r.returncode == 1
+
+    def test_every_flag_reaches_the_task(self, tmp_path):
+        flags = {"n_regular": 5, "n_ambiguous_terms": 3, "renderings_per_term": 3,
+                 "len_min": 3, "len_max": 4, "n_train": 12, "n_test": 5,
+                 "term_position": "final", "seed": 9}
+        assert set(flags) == {f.name for f in dataclasses.fields(SynthConfig)}
+        args = [a for name, value in flags.items()
+                for a in ("--" + name.replace("_", "-"), value)]
+        assert run_cli("synth", "--out", tmp_path, *args).returncode == 0
+        train = load_parallel(tmp_path / "train.src", tmp_path / "train.tgt")
+        test = load_parallel(tmp_path / "test.src", tmp_path / "test.tgt")
+        assert (len(train), len(test)) == (12, 5)
+        for pair in train + test:
+            regular = [tok for tok in pair.source if tok.startswith("s")]
+            assert 3 <= len(regular) <= 4
+            assert pair.source[-1].startswith("term")
+        assert len(load_dictionary(tmp_path / "dict.jsonl")) == 9
+        assert (train, test) == generate(SynthConfig(**flags))[:2]
 
 
 class TestBpeTrain:
@@ -128,6 +148,14 @@ class TestExtractTemplates:
         assert r.returncode == 0
         assert out.read_text().strip() == "NP VP"
 
+    def test_blank_tree_line_gives_blank_template_line(self, tmp_path):
+        trees = tmp_path / "trees.txt"
+        trees.write_text("(S (NP (DT the) (NN cat)) (VP (VBD sat)))\n\n(NN cat)\n")
+        out = tmp_path / "templates.txt"
+        r = run_cli("extract-templates", "--trees", trees, "--depth", 1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert out.read_text() == "NP VP\n\ncat\n"
+
 
 SAT = "the cat sat on the mat".split()
 ASSIS = "le chat assis sur le tapis".split()
@@ -157,9 +185,12 @@ class TestBuildDataset:
             assert all(ex.loss_mask[cut + 1 :])
 
     def test_blank_tree_line_gets_no_template(self, task_dir, tmp_path):
-        # a blank line is a sentence with no parse
+        # a blank line is a sentence with no parse; the first tree yields
+        # the first source sentence, as build-dataset checks
+        words = load_tokenized(task_dir / "test.src")[0]
+        tree = "(S (NP " + " ".join(f"(NN {w})" for w in words) + "))"
         trees = tmp_path / "trees.txt"
-        trees.write_text("(S (NP (NN cat)) (VP (VBD sat)))\n\n\n\n", encoding="utf-8")
+        trees.write_text(tree + "\n\n\n\n", encoding="utf-8")
         out = tmp_path / "test.jsonl"
         r = run_cli("build-dataset", "--src", task_dir / "test.src",
                     "--tgt", task_dir / "test.tgt", "--trees", trees, "--depth", 1,
@@ -204,6 +235,18 @@ class TestBuildDataset:
         assert list(first.input_tokens) == ["[Template]", "NP", "VP", "[Input]", *SAT]
         assert list(first.output_tokens) == ["[Template]", "NP", "VP", "[Output]"]
         assert list(second.output_tokens) == ["[Output]"]
+
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_tree_of_another_sentence_is_exit_two(self, parsed, inference):
+        # the trees file shifted by one line: line 2 parses "the cat sat ..."
+        trees = parsed / "shifted.txt"
+        trees.write_text("\n" + SAT_TREE + "\n", encoding="utf-8")
+        r = run_cli("build-dataset", "--src", parsed / "src.txt", "--tgt", parsed / "tgt.txt",
+                    "--trees", trees, *(["--inference"] if inference else []),
+                    "--out", parsed / "out.jsonl")
+        assert r.returncode == 2
+        assert f"{trees}: line 2: the tree yields 'the cat sat on the mat'" in r.stderr
+        assert not (parsed / "out.jsonl").exists()
 
     @pytest.mark.parametrize("inference", [False, True])
     def test_writes_the_pipeline_bundles(self, task_dir, tmp_path, inference):
@@ -364,6 +407,31 @@ class TestExitCodes:
         r = run_cli("evaluate", "--hyp", hyp, "--ref", ref)
         assert r.returncode == 2
         assert f"{hyp}: not UTF-8" in r.stderr
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--tm", "TM"), ("--dict", "term"), ("--terms", "match"), ("--data", "example"),
+    ])
+    @pytest.mark.parametrize("record", [
+        '{"id": 1, "src": 5, "tgt": ["a"], "terms": 5, "input": 5, "output": 5, "mask": 5}',
+        '{"id": 1, "src": "ab", "tgt": "a", "terms": ["ab"], "input": "ab", "output": "a", '
+        '"mask": [0]}',
+        '{"id": "x", "src": ["a"], "tgt": ["b"], "terms": [], "input": ["[Input]"], '
+        '"output": ["[Output]"], "mask": [0]}',
+        "null",
+    ], ids=["non-list", "string-tokens", "string-id", "null"])
+    def test_malformed_record_is_two_and_named(self, task_dir, tmp_path, flag, what, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n", encoding="utf-8")
+        src, tgt, out = task_dir / "test.src", task_dir / "test.tgt", tmp_path / "out"
+        args = {
+            "--tm": ["build-dataset", "--src", src, "--tgt", tgt, "--out", out],
+            "--dict": ["match-terms", "--src", src, "--out", out],
+            "--terms": ["evaluate", "--hyp", src, "--ref", src],
+            "--data": ["train", "--vocab", bad, "--out", out],
+        }[flag]
+        r = run_cli(*args, flag, bad)
+        assert r.returncode == 2, r.stderr
+        assert f"{bad}: bad {what} record at line 1: " in r.stderr
 
     def test_help_is_zero(self):
         assert run_cli("--help").returncode == 0

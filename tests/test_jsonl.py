@@ -1,0 +1,181 @@
+"""The JSONL record format shared by the five knowledge files: the TM,
+retrieval hits, the term dictionary, term matches and prompted datasets.
+
+Every loader reads through errors.read_jsonl, so a bad record anywhere
+is a DataError naming the file and the line, and nothing else escapes.
+"""
+
+import itertools
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from promptmt.corpus import SentencePair
+from promptmt.errors import DataError, read_jsonl, write_jsonl
+from promptmt.prompt import KnowledgeBundle, assemble, load_dataset, save_dataset
+from promptmt.retrieval import RetrievalHit, load_hits, load_tm, save_hits, save_tm
+from promptmt.terminology import (
+    TermDictionary,
+    TermEntry,
+    load_dictionary,
+    load_matches,
+    save_dictionary,
+    save_matches,
+)
+
+CAT = TermEntry(("chat", "noir"), ("猫",), 0)
+DOG = TermEntry(("chien",), ("Hund", "é"), 1)
+PAIR = SentencePair(("le", "chat", "noir"), ("der", "schwarze", "猫"), 0)
+
+
+def _write_valid(kind, path):
+    """A small valid file of each kind, non-ASCII tokens included."""
+    if kind == "tm":
+        save_tm([(0, ["le", "chat"], ["猫"]), (1, ["chien"], ["Hund", "é"])], path)
+    elif kind == "hits":
+        save_hits([RetrievalHit(3, 0.75, ("le", "chat"), ("猫",)), None,
+                   RetrievalHit(0, 0.5, ("é",), ("x", "y"))], path)
+    elif kind == "dict":
+        save_dictionary(TermDictionary([CAT, DOG]), path)
+    elif kind == "matches":
+        save_matches([(0, [CAT, DOG]), (1, [])], path)
+    else:
+        bundle = KnowledgeBundle(terms=((CAT.source, CAT.target),))
+        save_dataset([assemble(PAIR, bundle), assemble(PAIR, include_target=False)], path)
+
+
+LOADERS = {
+    "tm": load_tm,
+    "hits": load_hits,
+    "dict": load_dictionary,
+    "matches": load_matches,
+    "dataset": load_dataset,
+}
+
+
+class TestReadWrite:
+    def test_round_trip_skips_blank_lines_and_counts_records(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [{"a": "é"}, None, [1]])
+        assert path.read_text(encoding="utf-8") == '{"a": "é"}\nnull\n[1]\n'
+        path.write_text('\n{"a": 1}\n  \nnull\n', encoding="utf-8")
+        assert read_jsonl(path, "x", lambda rec, i: (i, rec)) == [(0, {"a": 1}), (1, None)]
+
+    def test_bad_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('1\n\n{"a"\n', encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: bad thing record at line 3")):
+            read_jsonl(path, "thing", lambda rec, i: rec)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    files = {}
+    for kind in LOADERS:
+        _write_valid(kind, root / f"{kind}.jsonl")
+        files[kind] = (root / f"{kind}.jsonl").read_bytes()
+    return root, files
+
+
+# replacement bytes that keep a line parseable more often than a random one
+JSON_BYTES = b'0123456789"[]{},:. \nlnrtue-'
+_names = itertools.count()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOADERS)),
+    where=st.floats(min_value=0, max_value=1, exclude_max=True),
+    byte=st.one_of(
+        st.none(), st.sampled_from(list(JSON_BYTES)), st.integers(min_value=0, max_value=255)
+    ),
+)
+def test_corrupt_file_loads_or_names_itself(valid_files, kind, where, byte):
+    """Truncated at any byte (byte None) or with one byte replaced, a valid
+    file loads or raises a DataError naming the file, never anything else."""
+    root, files = valid_files
+    data = files[kind]
+    pos = int(where * len(data))
+    data = data[:pos] if byte is None else data[:pos] + bytes([byte]) + data[pos + 1 :]
+    # a new name each time: rewriting one file is slow on some filesystems
+    path = root / f"corrupt-{next(_names)}.jsonl"
+    path.write_bytes(data)
+    try:
+        LOADERS[kind](path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_json_byte_at_every_position(tmp_path, kind):
+    """The exhaustive version of the property above for JSON_BYTES; it is
+    what reaches one-digit edits such as a duplicated id."""
+    _write_valid(kind, tmp_path / "valid.jsonl")
+    data = (tmp_path / "valid.jsonl").read_bytes()
+    for pos in range(len(data)):
+        for byte in [None, *JSON_BYTES]:
+            corrupt = data[:pos] if byte is None else data[:pos] + bytes([byte]) + data[pos + 1 :]
+            path = tmp_path / f"{pos}-{byte}.jsonl"
+            path.write_bytes(corrupt)
+            try:
+                LOADERS[kind](path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path}: "), corrupt
+
+
+GOOD = {
+    "tm": '{"id": 0, "src": ["a"], "tgt": ["b"]}',
+    "hits": '{"id": 0, "score": 0.5, "src": ["a"], "tgt": ["b"]}',
+    "dict": '{"id": 0, "src": ["a"], "tgt": ["b"]}',
+    "matches": '{"id": 0, "terms": [["a", "b"]]}',
+    "dataset": '{"id": 0, "input": ["[Input]", "a"], "output": ["[Output]"], "mask": [0]}',
+}
+
+BAD = [
+    # non-list token fields
+    ("tm", "TM", '{"id": 1, "src": 5, "tgt": ["a"]}'),
+    ("hits", "hit", '{"id": 1, "score": 0.5, "src": 5, "tgt": ["a"]}'),
+    ("dict", "term", '{"id": 1, "src": 5, "tgt": ["a"]}'),
+    ("dataset", "example", '{"id": 1, "input": 5, "output": ["[Output]"], "mask": [0]}'),
+    # a string where a token list belongs: not read as one token per character
+    ("tm", "TM", '{"id": 1, "src": "ab", "tgt": ["a"]}'),
+    ("hits", "hit", '{"id": 1, "score": 0.5, "src": "ab", "tgt": ["a"]}'),
+    ("dict", "term", '{"id": 1, "src": "ab", "tgt": ["a"]}'),
+    ("matches", "match", '{"id": 1, "terms": ["ab"]}'),
+    ("matches", "match", '{"id": 1, "terms": [[1, 2]]}'),
+    ("dataset", "example", '{"id": 1, "input": ["[Input]", 7], "output": ["[Output]"], "mask": [0]}'),
+    # non-integer ids and mask bits
+    ("tm", "TM", '{"id": "x", "src": ["a"], "tgt": ["b"]}'),
+    ("tm", "TM", '{"id": 1.5, "src": ["a"], "tgt": ["b"]}'),
+    ("hits", "hit", '{"id": "1", "score": 0.5, "src": ["a"], "tgt": ["b"]}'),
+    ("hits", "hit", '{"id": 1.5, "score": 0.5, "src": ["a"], "tgt": ["b"]}'),
+    ("dict", "term", '{"id": true, "src": ["a"], "tgt": ["b"]}'),
+    ("matches", "match", '{"id": "1", "terms": []}'),
+    ("dataset", "example", '{"id": 1, "input": ["[Input]"], "output": ["[Output]"], "mask": ["0"]}'),
+    # null is a miss in a hits file and a bad record everywhere else
+    ("tm", "TM", "null"),
+    ("dict", "term", "null"),
+    ("matches", "match", "null"),
+    ("dataset", "example", "null"),
+]
+
+
+@pytest.mark.parametrize("kind, what, line", BAD)
+def test_malformed_record_is_named(tmp_path, kind, what, line):
+    # line 3: blank lines count as lines
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(GOOD[kind] + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: bad {what} record at line 3: ")):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", ["tm", "dict"])
+def test_duplicate_ids_name_the_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(GOOD[kind] + "\n" + GOOD[kind] + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*duplicate"):
+        LOADERS[kind](path)
+
