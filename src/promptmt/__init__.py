@@ -9,6 +9,10 @@ TM retrieval, terminology matching, template extraction, prompt
 assembly, a numpy transformer with training loop, prefix-forced beam
 search, evaluation, and a synthetic disambiguation task that ties it
 all together.
+
+The package exports the names the README and the demos use; everything
+else is imported from its module (``promptmt.pipeline.build_bundles``,
+``promptmt.errors.read_jsonl``, ...).
 """
 
 from .corpus import (
@@ -17,94 +21,24 @@ from .corpus import (
     Vocab,
     bpe_decode_sequence,
     bpe_encode_sequence,
-    is_special,
-    load_parallel,
     train_bpe,
-    write_parallel,
 )
-from .decode import (
-    BeamConfig,
-    DecodeStats,
-    batch_translate,
-    beam_search,
-    greedy_decode,
-    translate,
-    write_stats,
-    write_translations,
-)
+from .decode import BeamConfig, beam_search, decoder_logits, greedy_decode, translate
 from .errors import DataError
-from .metrics import (
-    EvalReport,
-    corpus_bleu,
-    evaluate,
-    exact_match_accuracy,
-    load_report,
-    load_tokenized,
-    save_report,
-)
-from .model import (
-    ModelConfig,
-    TrainConfig,
-    TrainResult,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
-from .pipeline import RunConfig, build_bundles, prune_dictionary, run_pipeline
-from .prompt import (
-    EMPTY_BUNDLE,
-    KnowledgeBundle,
-    PromptedExample,
-    assemble,
-    build_dataset,
-    load_dataset,
-    save_dataset,
-    split_output,
-    strip_knowledge,
-)
-from .retrieval import (
-    RetrievalHit,
-    TmIndex,
-    load_hits,
-    load_tm,
-    save_hits,
-    save_tm,
-    similarity,
-    token_edit_distance,
-)
-from .synth import SynthConfig, build_dictionary, generate
-from .template import (
-    ParseTree,
-    build_template_dataset,
-    build_templates,
-    extract_template,
-    load_trees,
-    parse_ptb,
-    save_trees,
-)
-from .terminology import (
-    TermDictionary,
-    TermEntry,
-    contains_subsequence,
-    load_dictionary,
-    load_matches,
-    save_dictionary,
-    save_matches,
-)
+from .model import ModelConfig, TrainConfig, init_params, train
+from .pipeline import RunConfig, run_pipeline
+from .prompt import KnowledgeBundle, assemble, strip_knowledge
+from .retrieval import TmIndex, similarity
+from .synth import SynthConfig
+from .template import build_template_dataset, extract_template, parse_ptb
+from .terminology import TermDictionary, TermEntry
 
 __all__ = [
     "BeamConfig",
     "BpeModel",
     "DataError",
-    "DecodeStats",
-    "EMPTY_BUNDLE",
-    "EvalReport",
     "KnowledgeBundle",
     "ModelConfig",
-    "ParseTree",
-    "PromptedExample",
-    "RetrievalHit",
     "RunConfig",
     "SentencePair",
     "SynthConfig",
@@ -112,58 +46,23 @@ __all__ = [
     "TermEntry",
     "TmIndex",
     "TrainConfig",
-    "TrainResult",
     "Vocab",
     "assemble",
-    "batch_translate",
     "beam_search",
     "bpe_decode_sequence",
     "bpe_encode_sequence",
-    "build_bundles",
-    "build_dataset",
-    "build_dictionary",
     "build_template_dataset",
-    "build_templates",
-    "contains_subsequence",
-    "corpus_bleu",
-    "evaluate",
-    "exact_match_accuracy",
+    "decoder_logits",
     "extract_template",
-    "generate",
     "greedy_decode",
     "init_params",
-    "is_special",
-    "load_checkpoint",
-    "load_dataset",
-    "load_dictionary",
-    "load_hits",
-    "load_matches",
-    "load_parallel",
-    "load_report",
-    "load_tm",
-    "load_tokenized",
-    "load_trees",
     "parse_ptb",
-    "prune_dictionary",
     "run_pipeline",
-    "save_checkpoint",
-    "save_dataset",
-    "save_dictionary",
-    "save_hits",
-    "save_matches",
-    "save_report",
-    "save_tm",
-    "save_trees",
     "similarity",
-    "split_output",
     "strip_knowledge",
-    "token_edit_distance",
     "train",
     "train_bpe",
     "translate",
-    "write_parallel",
-    "write_stats",
-    "write_translations",
 ]
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .pipeline import RunConfig, build_bundles, config_from, run_pipeline
+from .pipeline import RunConfig, _split_train_val, build_bundles, config_from, run_pipeline
 from .prompt import build_dataset, load_dataset, save_dataset, strip_knowledge
 from .retrieval import TmIndex, hit_record, load_tm, save_hits, save_tm
 from .synth import SynthConfig, generate
@@ -152,8 +152,7 @@ def cmd_train(args) -> int:
     if args.val:
         val_set = load_dataset(args.val)
     else:
-        n_val = max(1, len(train_set) // 10)
-        train_set, val_set = train_set[:-n_val], train_set[-n_val:]
+        train_set, val_set = _split_train_val(train_set, 0.1)
     vocab = Vocab.load(args.vocab)
     model_cfg = config_from(ModelConfig, args, vocab_size=len(vocab))
     train_cfg = config_from(TrainConfig, args)
@@ -249,6 +248,11 @@ _RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "sy
 _SYNTH_FIELDS = {f.name: f for f in dataclasses.fields(SynthConfig)}
 
 
+def _items(raw: str) -> tuple:
+    """A comma-separated list, blanks dropped: "term , sent," is ("term", "sent")."""
+    return tuple(part for part in (p.strip() for p in raw.split(",")) if part)
+
+
 def _parse_value(key: str, raw: str, typ):
     raw = raw.strip()
     try:
@@ -263,7 +267,7 @@ def _parse_value(key: str, raw: str, typ):
         if typ is float:
             return float(raw)
         if typ is tuple:
-            return tuple(part for part in (p.strip() for p in raw.split(",")) if part)
+            return _items(raw)
         return raw
     except ValueError as exc:
         raise DataError(f"config key {key!r}: {exc}") from exc
@@ -306,10 +310,6 @@ def _pipeline_config(args) -> RunConfig:
         flag = getattr(args, key.replace(".", "_").replace("-", "_"), None)
         if flag is not None:
             values[key] = flag
-    if "knowledge" in values and isinstance(values["knowledge"], str):
-        values["knowledge"] = tuple(
-            part for part in (p.strip() for p in values["knowledge"].split(",")) if part
-        )
     synth_kwargs = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("synth.")}
     run_kwargs = {k: v for k, v in values.items() if not k.startswith("synth.")}
     # one seed drives every stage; the task generator inherits it
@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
         if fld.type == "bool" or isinstance(fld.default, bool):
             p.add_argument(flag, action="store_const", const=True, default=None)
         elif name == "knowledge":
-            p.add_argument(flag, default=None,
+            p.add_argument(flag, type=_items, default=None,
                            help='comma-separated kinds, e.g. "term,sent"')
         else:
             typ = type(fld.default) if fld.default is not None else str

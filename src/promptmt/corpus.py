@@ -137,7 +137,13 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         lines = read_text(path).splitlines()
-        return cls(lines)
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                raise DataError(f"{path}: blank vocabulary line {lineno}")
+        try:
+            return cls(lines)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def sha256(self) -> str:
         import hashlib
@@ -176,7 +182,10 @@ class BpeModel:
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataError(f"{path}: malformed merge at line {lineno}: {line!r}")
             merges.append((parts[0], parts[1]))
-        return cls(merges=tuple(merges))
+        try:
+            return cls(merges=tuple(merges))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _merge_symbols(symbols: list[str], pair: tuple[str, str]) -> list[str]:

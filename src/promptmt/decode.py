@@ -18,7 +18,6 @@ reference that the cached steps are tested against.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +32,7 @@ from .corpus import (
     Vocab,
     bpe_decode_sequence,
 )
-from .errors import DataError
+from .errors import DataError, write_json
 from .model import (
     DecoderState,
     ModelConfig,
@@ -66,7 +65,6 @@ class DecodeStats:
 
     tokens_forced: int
     tokens_generated: int
-    wall_time: float
 
 
 def _score(logprob: float, n_generated: int, penalty: float) -> float:
@@ -189,7 +187,6 @@ def translate(
     when missing. Returned tokens exclude the prefix, [Output], and <eos>,
     and are whole tokens again when a BPE model is given.
     """
-    start = time.perf_counter()
     prefix = list(example.output_tokens)
     if OUTPUT not in prefix:
         prefix.append(OUTPUT)
@@ -208,7 +205,6 @@ def translate(
     stats = DecodeStats(
         tokens_forced=len(prefix_ids),
         tokens_generated=len(generated),
-        wall_time=time.perf_counter() - start,
     )
     return tokens, stats
 
@@ -252,4 +248,4 @@ def write_translations(translations, path: str | Path) -> None:
 
 
 def write_stats(stats: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    write_json(path, stats)

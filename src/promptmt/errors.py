@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, the readers of user files that
-turn bad bytes and bad records into one of them, and the JSONL writer."""
+turn bad bytes and bad records into one of them, and the JSON writers."""
 
 import json
 from pathlib import Path
@@ -44,6 +44,11 @@ def read_jsonl(path, what: str, parse) -> list:
     return out
 
 
+def write_json(path, value) -> None:
+    """One indented JSON document and a newline."""
+    Path(path).write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
+
+
 def write_jsonl(path, records) -> None:
     """One JSON value per line, non-ASCII text kept as is."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -56,6 +61,13 @@ def tokens(value) -> tuple:
     if not isinstance(value, list) or not all(isinstance(tok, str) for tok in value):
         raise DataError(f"expected a list of string tokens, got {value!r}")
     return tuple(value)
+
+
+def number(value) -> float:
+    """A numeric field of a record (scores); bools and strings are not numbers."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DataError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def integer(value) -> int:

@@ -17,9 +17,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import DataError, read_text
+from .errors import DataError, read_text, write_json
 from .terminology import contains_subsequence
 
 MAX_ORDER = 4
@@ -139,7 +138,7 @@ def load_tokenized(path) -> list:
 
 
 def save_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, report.to_dict())
 
 
 def load_report(path) -> EvalReport:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, Vocab
-from .errors import DataError
+from .errors import DataError, write_json
 
 NEG_INF = -1e9
 LN_EPS = 1e-5
@@ -750,9 +750,7 @@ def save_checkpoint(path: str | Path, params: dict, config: ModelConfig, vocab: 
         "config": config.to_dict(),
         "vocab_sha256": vocab.sha256(),
     }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(str(path) + ".json", sidecar)
 
 
 def _read_tensors(path: Path, data: bytes) -> dict:

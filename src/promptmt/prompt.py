@@ -141,17 +141,6 @@ def assemble(
     )
 
 
-def split_output(tokens) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split a decoder sequence into (knowledge prefix, translation)."""
-    tokens = tuple(tokens)
-    if tokens.count(OUTPUT) != 1:
-        raise DataError(
-            f"expected exactly one {OUTPUT}, found {tokens.count(OUTPUT)}"
-        )
-    cut = tokens.index(OUTPUT)
-    return tokens[:cut], tokens[cut + 1 :]
-
-
 def strip_knowledge(example: PromptedExample) -> PromptedExample:
     """The same example with every knowledge block removed from both sides."""
     input_tokens = example.input_tokens[example.input_tokens.index(INPUT) :]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, integer, read_jsonl, tokens, write_jsonl
+from .errors import DataError, integer, number, read_jsonl, tokens, write_jsonl
 
 
 def token_edit_distance(a, b) -> int:
@@ -203,7 +203,7 @@ def _hit(rec, _):
         return None
     return RetrievalHit(
         id=integer(rec["id"]),
-        score=float(rec["score"]),
+        score=number(rec["score"]),
         src=tokens(rec["src"]),
         tgt=tokens(rec["tgt"]),
     )

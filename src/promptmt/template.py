@@ -142,12 +142,6 @@ def load_trees(path: str | Path) -> list:
     return trees
 
 
-def save_trees(trees, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(("" if tree is None else tree.render()) + "\n")
-
-
 def build_templates(trees, depth: int = 4) -> list:
     """Template token list per tree, None where there is no tree."""
     return [None if t is None else extract_template(t, depth) for t in trees]

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from promptmt.cli import load_config_file
+from promptmt.cli import build_parser, load_config_file
 from promptmt.errors import DataError
 from promptmt.metrics import load_tokenized
 from promptmt.pipeline import RunConfig, build_bundles
@@ -287,14 +287,12 @@ def artifacts(tmp_path_factory):
                    "--out", work / "test.jsonl").returncode == 0
 
     # the vocabulary must cover the dataset; train on everything seen
-    import promptmt
-
     seen = []
-    for ex in promptmt.load_dataset(work / "train.jsonl"):
+    for ex in load_dataset(work / "train.jsonl"):
         seen += list(ex.input_tokens) + list(ex.output_tokens)
-    for ex in promptmt.load_dataset(work / "test.jsonl"):
+    for ex in load_dataset(work / "test.jsonl"):
         seen += list(ex.input_tokens) + list(ex.output_tokens)
-    promptmt.Vocab.build(seen).save(work / "vocab.txt")
+    Vocab.build(seen).save(work / "vocab.txt")
 
     r = run_cli("train", "--data", work / "train.jsonl",
                 "--vocab", work / "vocab.txt", "--out", work / "model.ckpt",
@@ -347,9 +345,7 @@ class TestTrainTranslateEvaluate:
 
     def test_translate_rejects_foreign_vocabulary(self, artifacts, tmp_path):
         work, _ = artifacts
-        import promptmt
-
-        promptmt.Vocab.build(["completely", "different"]).save(tmp_path / "v.txt")
+        Vocab.build(["completely", "different"]).save(tmp_path / "v.txt")
         r = run_cli("translate", "--ckpt", work / "model.ckpt",
                     "--data", work / "test.jsonl", "--vocab", tmp_path / "v.txt",
                     "--out", tmp_path / "h.txt")
@@ -474,6 +470,14 @@ class TestConfigFile:
         cfg.write_text("seed 5\n")
         with pytest.raises(DataError, match="expected key = value"):
             load_config_file(cfg)
+
+    @pytest.mark.parametrize("raw, kinds", [("term,", ("term",)),
+                                            ("term , sent", ("term", "sent"))])
+    def test_knowledge_flag_parses_like_the_file(self, tmp_path, raw, kinds):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"knowledge = {raw}\n")
+        args = build_parser().parse_args(["pipeline", "--knowledge", raw])
+        assert args.knowledge == load_config_file(cfg)["knowledge"] == kinds
 
 
 class TestPipelineCommand:

@@ -1,18 +1,23 @@
-"""Every script in demos/ runs to completion against the package source.
+"""Every script in demos/ and the README's Python example run to
+completion against the package source.
 
 The demos import the public API by name, so a rename or a changed
 signature shows up here as a failed run.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import promptmt
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def test_demos_exist():
@@ -21,7 +26,19 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                       cwd=tmp_path, env=env, timeout=600)
+                       cwd=tmp_path, env=ENV, timeout=600)
     assert r.returncode == 0, r.stderr
+
+
+def test_readme_example_prints_what_it_shows(tmp_path):
+    """The README's Python block prints exactly the `# ` lines written
+    under it, and every name the package exports resolves."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    shown = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    r = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                       cwd=tmp_path, env=ENV, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert shown and r.stdout.splitlines() == shown
+    assert [name for name in promptmt.__all__ if not hasattr(promptmt, name)] == []

@@ -3,6 +3,8 @@ retrieval hits, the term dictionary, term matches and prompted datasets.
 
 Every loader reads through errors.read_jsonl, so a bad record anywhere
 is a DataError naming the file and the line, and nothing else escapes.
+The corruption sweeps also cover the two line-per-entry files a model
+needs, the vocabulary and the BPE merges.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptmt.corpus import SentencePair
+from promptmt.corpus import BpeModel, SentencePair, Vocab, train_bpe
 from promptmt.errors import DataError, read_jsonl, write_jsonl
 from promptmt.prompt import KnowledgeBundle, assemble, load_dataset, save_dataset
 from promptmt.retrieval import RetrievalHit, load_hits, load_tm, save_hits, save_tm
@@ -41,6 +43,10 @@ def _write_valid(kind, path):
         save_dictionary(TermDictionary([CAT, DOG]), path)
     elif kind == "matches":
         save_matches([(0, [CAT, DOG]), (1, [])], path)
+    elif kind == "vocab":
+        Vocab.build(PAIR.source + PAIR.target).save(path)
+    elif kind == "merges":
+        train_bpe([PAIR.source, PAIR.target], 8).save(path)
     else:
         bundle = KnowledgeBundle(terms=((CAT.source, CAT.target),))
         save_dataset([assemble(PAIR, bundle), assemble(PAIR, include_target=False)], path)
@@ -52,6 +58,8 @@ LOADERS = {
     "dict": load_dictionary,
     "matches": load_matches,
     "dataset": load_dataset,
+    "vocab": Vocab.load,
+    "merges": BpeModel.load,
 }
 
 
@@ -155,6 +163,9 @@ BAD = [
     ("dict", "term", '{"id": true, "src": ["a"], "tgt": ["b"]}'),
     ("matches", "match", '{"id": "1", "terms": []}'),
     ("dataset", "example", '{"id": 1, "input": ["[Input]"], "output": ["[Output]"], "mask": ["0"]}'),
+    # scores are JSON numbers, not strings or bools
+    ("hits", "hit", '{"id": 1, "score": "0.5", "src": ["a"], "tgt": ["b"]}'),
+    ("hits", "hit", '{"id": 1, "score": true, "src": ["a"], "tgt": ["b"]}'),
     # null is a miss in a hits file and a bad record everywhere else
     ("tm", "TM", "null"),
     ("dict", "term", "null"),

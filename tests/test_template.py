@@ -15,7 +15,6 @@ from promptmt.template import (
     extract_template,
     load_trees,
     parse_ptb,
-    save_trees,
 )
 
 CAT_SAT = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
@@ -115,7 +114,7 @@ class TestExtractTemplate:
 class TestTreeFiles:
     def test_round_trip_with_blank_lines(self, tmp_path):
         src = [parse_ptb(CAT_SAT), None, parse_ptb("(NN cat)")]
-        save_trees(src, tmp_path / "trees.txt")
+        (tmp_path / "trees.txt").write_text(f"{CAT_SAT}\n\n(NN cat)\n", encoding="utf-8")
         loaded = load_trees(tmp_path / "trees.txt")
         assert loaded == src
 
