@@ -6,6 +6,8 @@ shell steps, or run in one shot with `pipeline`. Exit codes: 0 on
 success, 1 on usage errors, 2 on data errors (missing or malformed
 files).
 
+The flags of `train`, `translate`, `synth` and `pipeline` are the fields
+of their config dataclasses, built from them with the dataclass defaults.
 The `pipeline` subcommand also accepts a config file of `key = value`
 lines (# comments and blank lines ignored) holding RunConfig or
 task-generator fields; flags given on the command line win over the
@@ -18,11 +20,12 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_parallel
-from .decode import BeamConfig, batch_translate, write_stats, write_translations
-from .errors import DataError, read_text
+from .decode import BeamConfig, batch_translate, write_translations
+from .errors import DataError, read_text, write_json
 from .metrics import evaluate, load_tokenized
 from .model import (
     ModelConfig,
@@ -152,7 +155,12 @@ def cmd_train(args) -> int:
     if args.val:
         val_set = load_dataset(args.val)
     else:
-        train_set, val_set = _split_train_val(train_set, 0.1)
+        train_set, val_set = _split_train_val(train_set)
+    if not train_set:
+        held_out = "" if args.val else " once a validation set is held out (give --val)"
+        raise DataError(f"{args.data}: no training examples{held_out}")
+    if not val_set:
+        raise DataError(f"{args.val}: no validation examples")
     vocab = Vocab.load(args.vocab)
     model_cfg = config_from(ModelConfig, args, vocab_size=len(vocab))
     train_cfg = config_from(TrainConfig, args)
@@ -162,7 +170,7 @@ def cmd_train(args) -> int:
             raise DataError(f"{args.init}: checkpoint config differs from the requested one")
         _check_vocab(args.init, sidecar, vocab)
     else:
-        params = init_params(model_cfg, seed=args.seed)
+        params = init_params(model_cfg, seed=train_cfg.seed)
     result = train(params, model_cfg, train_set, val_set, train_cfg, vocab, log=print)
     save_checkpoint(args.out, result.params, model_cfg, vocab)
     print(f"best epoch {result.best_epoch}, "
@@ -189,7 +197,7 @@ def cmd_translate(args) -> int:
     outputs, stats = batch_translate(params, model_cfg, vocab, examples, beam, bpe=bpe)
     write_translations(outputs, args.out)
     if args.stats:
-        write_stats(stats, args.stats)
+        write_json(args.stats, stats)
     print(f"{len(outputs)} sentences -> {args.out} "
           f"({stats['sentences_per_second']:.2f} sent/s)")
     return 0
@@ -242,10 +250,10 @@ def cmd_pipeline(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# pipeline config plumbing
+# config flags and files
 
-_RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "synth"}
-_SYNTH_FIELDS = {f.name: f for f in dataclasses.fields(SynthConfig)}
+# the one flag not named after its field
+_RENAMED = {"max_epochs": "epochs"}
 
 
 def _items(raw: str) -> tuple:
@@ -253,24 +261,39 @@ def _items(raw: str) -> tuple:
     return tuple(part for part in (p.strip() for p in raw.split(",")) if part)
 
 
-def _parse_value(key: str, raw: str, typ):
-    raw = raw.strip()
-    try:
-        if typ is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is tuple:
-            return _items(raw)
-        return raw
-    except ValueError as exc:
-        raise DataError(f"config key {key!r}: {exc}") from exc
+def _bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("true", "1", "yes"):
+        return True
+    if word in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parsers(cls, skip=()) -> dict:
+    """{field name: parser of the field's text form} for a config dataclass,
+    used by both the flags and the config file."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: {bool: _bool, tuple: _items}.get(hints[f.name], hints[f.name])
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_RUN_FIELDS = _parsers(RunConfig, skip=("synth",))
+_SYNTH_FIELDS = _parsers(SynthConfig)
+
+
+def _add_config_flags(p, cls, skip=(), prefix="") -> None:
+    """One flag per field of cls. Every flag defaults to None, which
+    config_from skips, so each default is written only in its dataclass;
+    a bool flag given bare means true."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for name, parse in _parsers(cls, skip).items():
+        default = defaults[name]
+        shown = ",".join(default) if isinstance(default, tuple) else default
+        p.add_argument("--" + (prefix + _RENAMED.get(name, name)).replace("_", "-"),
+                       dest=prefix + name, type=parse, default=None,
+                       help=f"default {shown}",
+                       **({"nargs": "?", "const": True} if parse is _bool else {}))
 
 
 def load_config_file(path) -> dict:
@@ -293,13 +316,15 @@ def load_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         bare = key.removeprefix("synth.")
         if key in _RUN_FIELDS:
-            typ = bool if _RUN_FIELDS[key].type == "bool" else type(_RUN_FIELDS[key].default)
-            values[key] = _parse_value(key, raw, typ)
+            name, parse = key, _RUN_FIELDS[key]
         elif bare in _SYNTH_FIELDS:
-            typ = type(_SYNTH_FIELDS[bare].default)
-            values["synth." + bare] = _parse_value(key, raw, typ)
+            name, parse = "synth." + bare, _SYNTH_FIELDS[bare]
         else:
             raise DataError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[name] = parse(raw)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: key {key!r}: {exc}") from exc
     return values
 
 
@@ -307,18 +332,12 @@ def _pipeline_config(args) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     # flags win over the config file
     for key in list(_RUN_FIELDS) + ["synth." + k for k in _SYNTH_FIELDS]:
-        flag = getattr(args, key.replace(".", "_").replace("-", "_"), None)
+        flag = getattr(args, key.replace(".", "_"))
         if flag is not None:
             values[key] = flag
-    synth_kwargs = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("synth.")}
-    run_kwargs = {k: v for k, v in values.items() if not k.startswith("synth.")}
-    # one seed drives every stage; the task generator inherits it
-    if "seed" in run_kwargs:
-        synth_kwargs.setdefault("seed", run_kwargs["seed"])
-    try:
-        return RunConfig(synth=SynthConfig(**synth_kwargs), **run_kwargs)
-    except ValueError as exc:
-        raise DataError(f"bad configuration: {exc}") from exc
+    synth = {k.removeprefix("synth."): v for k, v in values.items() if k.startswith("synth.")}
+    run = {k: v for k, v in values.items() if not k.startswith("synth.")}
+    return RunConfig(synth=SynthConfig(**synth), **run)
 
 
 # --------------------------------------------------------------------------
@@ -385,21 +404,8 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--init", help="warm-start from this checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--n-enc-layers", type=int, default=2)
-    p.add_argument("--n-dec-layers", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--max-positions", type=int, default=96)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", dest="max_epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--average-last", type=int, default=0)
-    p.add_argument("--warmup-steps", type=int, default=0)
-    p.add_argument("--schedule", choices=("constant", "linear"), default="constant")
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, ModelConfig, skip=("vocab_size",))
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="decode a dataset with a trained checkpoint")
@@ -411,9 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stats", help="write decode statistics JSON here")
     p.add_argument("--no-knowledge", action="store_true",
                    help="strip knowledge blocks before decoding")
-    p.add_argument("--beam-size", type=int, default=4)
-    p.add_argument("--max-new-tokens", type=int, default=64)
-    p.add_argument("--length-penalty", type=float, default=1.0)
+    _add_config_flags(p, BeamConfig)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
@@ -426,37 +430,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate the synthetic disambiguation task")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-regular", type=int, default=20)
-    p.add_argument("--n-ambiguous-terms", type=int, default=4)
-    p.add_argument("--renderings-per-term", type=int, default=2)
-    p.add_argument("--len-min", type=int, default=3)
-    p.add_argument("--len-max", type=int, default=8)
-    p.add_argument("--n-train", type=int, default=600)
-    p.add_argument("--n-test", type=int, default=48)
-    p.add_argument("--term-position", choices=("random", "final"), default="random")
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="synth -> train -> translate -> evaluate in one run")
     p.add_argument("--work", default="runs/pipeline", help="artifact directory")
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--verbose", action="store_true", help="log progress to stdout")
-    # every RunConfig field is a flag; None means "not given"
-    for name, fld in _RUN_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if fld.type == "bool" or isinstance(fld.default, bool):
-            p.add_argument(flag, action="store_const", const=True, default=None)
-        elif name == "knowledge":
-            p.add_argument(flag, type=_items, default=None,
-                           help='comma-separated kinds, e.g. "term,sent"')
-        else:
-            typ = type(fld.default) if fld.default is not None else str
-            p.add_argument(flag, type=typ, default=None)
-    for name in _SYNTH_FIELDS:
-        fld = _SYNTH_FIELDS[name]
-        p.add_argument("--synth-" + name.replace("_", "-"),
-                       dest="synth_" + name,
-                       type=type(fld.default), default=None)
+    _add_config_flags(p, RunConfig, skip=("synth",))
+    _add_config_flags(p, SynthConfig, prefix="synth_")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -32,7 +32,7 @@ from .corpus import (
     Vocab,
     bpe_decode_sequence,
 )
-from .errors import DataError, write_json
+from .errors import DataError
 from .model import (
     DecoderState,
     ModelConfig,
@@ -245,7 +245,3 @@ def write_translations(translations, path: str | Path) -> None:
         "".join(" ".join(tokens) + "\n" for tokens in translations),
         encoding="utf-8",
     )
-
-
-def write_stats(stats: dict, path: str | Path) -> None:
-    write_json(path, stats)

@@ -26,6 +26,11 @@ from .errors import DataError, write_json
 
 NEG_INF = -1e9
 LN_EPS = 1e-5
+# learning-rate schedules: "linear" decays to zero over all steps
+SCHEDULES = ("constant", "linear")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class ModelConfig:
     n_enc_layers: int = 2
     n_dec_layers: int = 2
     d_ff: int = 256
-    max_positions: int = 512
+    max_positions: int = 96
     dropout: float = 0.1
 
     def __post_init__(self):
@@ -582,22 +587,21 @@ def decoder_step(params, config, state: DecoderState, dec_in: np.ndarray):
 @dataclass
 class TrainConfig:
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 30
     seed: int = 0
     average_last: int = 0  # 0 disables checkpoint averaging
     warmup_steps: int = 0
-    schedule: str = "constant"  # or "linear": decay to zero over all steps
+    schedule: str = "constant"
+
+    def __post_init__(self):
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}, pick from {SCHEDULES}")
 
     def lr_at(self, step: int, total_steps: int) -> float:
         """Step starts at 1. Warmup ramps to the peak; "linear" then decays
         toward zero at total_steps."""
-        if self.schedule not in ("constant", "linear"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.warmup_steps > 0 and step <= self.warmup_steps:
             return self.lr * (step / self.warmup_steps)
         if self.schedule == "linear":
@@ -622,15 +626,14 @@ class Adam:
 
     def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
         self.t += 1
-        c = self.cfg
         if lr is None:
-            lr = c.lr
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+            lr = self.cfg.lr
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
-            params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.adam_eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
+            params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
 
 
 def _dataset_loss(params, config, examples, vocab, batch_size) -> float:

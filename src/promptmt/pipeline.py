@@ -14,14 +14,14 @@ configuration produce identical reports.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel
-from .errors import DataError
+from .errors import write_json
 from .metrics import EvalReport, evaluate, save_report
 from .model import (
+    SCHEDULES,
     ModelConfig,
     TrainConfig,
     init_params,
@@ -29,13 +29,15 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .decode import BeamConfig, batch_translate, write_stats, write_translations
+from .decode import BeamConfig, batch_translate, write_translations
 from .prompt import EMPTY_BUNDLE, KnowledgeBundle, build_dataset, save_dataset
 from .retrieval import TmIndex, save_tm
 from .synth import SynthConfig, generate
-from .terminology import TermDictionary, save_dictionary
+from .terminology import save_dictionary
 
 KNOWLEDGE_KINDS = ("term", "sent")
+# share of the training pairs held out for validation
+VAL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,12 @@ class RunConfig:
 
     knowledge picks which prompt blocks are built ("term", "sent", or
     both); templates stay out of the synthetic task, whose sentences are
-    deliberately flat. min_term_count filters dictionary entries by
-    source-term frequency in the training corpus; the synthetic
-    dictionary is exhaustive, so the default 0 keeps every entry.
+    deliberately flat.
     """
 
     synth: SynthConfig = field(default_factory=SynthConfig)
     knowledge: tuple = KNOWLEDGE_KINDS
     threshold: float = 0.4
-    min_term_count: int = 0
     bpe_merges: int = 300
     max_input_len: int = 512
 
@@ -71,7 +70,6 @@ class RunConfig:
     patience: int = 30
     warmup_steps: int = 0
     schedule: str = "constant"
-    val_fraction: float = 0.1
     # stage 2 continues on prompted data alone; mixing the plain stage-1
     # data back in preserves more unprompted quality at the cost of a
     # much weaker incentive to read the prompts
@@ -86,8 +84,8 @@ class RunConfig:
         bad = [k for k in self.knowledge if k not in KNOWLEDGE_KINDS]
         if bad:
             raise ValueError(f"unknown knowledge kinds {bad}, pick from {KNOWLEDGE_KINDS}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}, pick from {SCHEDULES}")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return config_from(ModelConfig, self, vocab_size=vocab_size)
@@ -103,22 +101,10 @@ def config_from(cls, source, **overrides):
     """A `cls` dataclass filled from the same-named attributes of source.
 
     source is any object (a RunConfig, an argparse namespace); fields it
-    lacks keep their defaults and keyword overrides win.
+    lacks or holds as None keep their defaults and keyword overrides win.
     """
-    values = {f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
+    values = {f.name: v for f in fields(cls) if (v := getattr(source, f.name, None)) is not None}
     return cls(**{**values, **overrides})
-
-
-def prune_dictionary(dictionary: TermDictionary, pairs, min_count: int) -> TermDictionary:
-    """Drop entries whose source term is rare in the given corpus."""
-    if min_count <= 0:
-        return dictionary
-    counts = Counter()
-    for pair in pairs:
-        for entry in dictionary.match_source_only(pair.source):
-            counts[entry.id] += 1
-    kept = [e for e in dictionary.entries if counts[e.id] >= min_count]
-    return TermDictionary(kept)
 
 
 def build_bundles(pairs, dictionary, tm, cfg: RunConfig, *, templates=None,
@@ -155,8 +141,8 @@ def build_bundles(pairs, dictionary, tm, cfg: RunConfig, *, templates=None,
     return bundles
 
 
-def _split_train_val(pairs, fraction: float):
-    n_val = max(1, int(len(pairs) * fraction))
+def _split_train_val(pairs):
+    n_val = max(1, int(len(pairs) * VAL_FRACTION))
     return pairs[:-n_val], pairs[-n_val:]
 
 
@@ -172,8 +158,7 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
 
     synth_cfg = replace(cfg.synth, seed=cfg.seed)
     all_train, test, dictionary, tm_entries = generate(synth_cfg)
-    dictionary = prune_dictionary(dictionary, all_train, cfg.min_term_count)
-    train_pairs, val_pairs = _split_train_val(all_train, cfg.val_fraction)
+    train_pairs, val_pairs = _split_train_val(all_train)
     say(f"task: {len(train_pairs)} train / {len(val_pairs)} val / {len(test)} test, "
         f"{len(dictionary)} dictionary entries, {len(tm_entries)} TM entries")
 
@@ -270,8 +255,8 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     plain_hyp, plain_stats = batch_translate(params, model_cfg, vocab, plain_test, beam, bpe=bpe)
     write_translations(prompted_hyp, work / "hyp.prompted.txt")
     write_translations(plain_hyp, work / "hyp.plain.txt")
-    write_stats(stats, work / "stats.prompted.json")
-    write_stats(plain_stats, work / "stats.plain.json")
+    write_json(work / "stats.prompted.json", stats)
+    write_json(work / "stats.plain.json", plain_stats)
 
     refs = [list(p.target) for p in test]
     term_sets = [

@@ -13,8 +13,10 @@ import sys
 import pytest
 
 from promptmt.cli import build_parser, load_config_file
+from promptmt.decode import BeamConfig
 from promptmt.errors import DataError
 from promptmt.metrics import load_tokenized
+from promptmt.model import ModelConfig, TrainConfig
 from promptmt.pipeline import RunConfig, build_bundles
 from promptmt.prompt import build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_hits, load_tm
@@ -322,6 +324,32 @@ class TestTrainTranslateEvaluate:
             "dropout": 0.1,
         }
 
+    def test_default_sidecar_config_is_the_dataclass_default(self, artifacts, tmp_path):
+        work, _ = artifacts
+        data = tmp_path / "four.jsonl"
+        data.write_text("".join((work / "train.jsonl").read_text().splitlines(True)[:4]))
+        r = run_cli("train", "--data", data, "--vocab", work / "vocab.txt",
+                    "--out", tmp_path / "m.ckpt")
+        assert r.returncode == 0, r.stderr
+        config = json.loads((tmp_path / "m.ckpt.json").read_text())["config"]
+        assert config == ModelConfig(vocab_size=len(Vocab.load(work / "vocab.txt"))).to_dict()
+
+    @pytest.mark.parametrize("case", ["one-example-data", "empty-val"])
+    def test_too_few_examples_is_two_and_named(self, artifacts, tmp_path, case):
+        work, _ = artifacts
+        if case == "one-example-data":
+            bad = tmp_path / "one.jsonl"
+            bad.write_text((work / "train.jsonl").read_text().splitlines(True)[0])
+            args = ["--data", bad]
+        else:
+            bad = tmp_path / "empty.jsonl"
+            bad.write_text("")
+            args = ["--data", work / "train.jsonl", "--val", bad]
+        r = run_cli("train", *args, "--vocab", work / "vocab.txt", "--out", tmp_path / "m.ckpt")
+        assert r.returncode == 2, r.stderr
+        assert f"error: {bad}: " in r.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_translate_writes_one_line_per_example(self, artifacts):
         work, _ = artifacts
         r = run_cli("translate", "--ckpt", work / "model.ckpt",
@@ -429,6 +457,21 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert f"{bad}: bad {what} record at line 1: " in r.stderr
 
+    def test_unknown_schedule_is_one_before_any_work(self, artifacts, tmp_path):
+        work, _ = artifacts
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schedule = bogus\n")
+        for i, how in enumerate([["--schedule", "bogus"], ["--config", cfg]]):
+            run = tmp_path / f"run{i}"
+            r = run_cli("pipeline", "--work", run, *how)
+            assert r.returncode == 1, r.stderr
+            assert "unknown schedule 'bogus'" in r.stderr
+            assert not run.exists() or not any(run.iterdir())
+        r = run_cli("train", "--data", work / "train.jsonl", "--vocab", work / "vocab.txt",
+                    "--out", tmp_path / "m.ckpt", "--schedule", "bogus")
+        assert r.returncode == 1, r.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_help_is_zero(self):
         assert run_cli("--help").returncode == 0
         for sub in ["bpe-train", "build-tm", "retrieve", "match-terms",
@@ -478,6 +521,40 @@ class TestConfigFile:
         cfg.write_text(f"knowledge = {raw}\n")
         args = build_parser().parse_args(["pipeline", "--knowledge", raw])
         assert args.knowledge == load_config_file(cfg)["knowledge"] == kinds
+
+
+def names(cls, skip=()) -> set:
+    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("argv, plain, expected", [
+        (["train", "--data", "d", "--vocab", "v", "--out", "o"],
+         {"data", "val", "vocab", "init", "out"},
+         names(ModelConfig, ["vocab_size"]) | names(TrainConfig)),
+        (["translate", "--ckpt", "c", "--data", "d", "--vocab", "v", "--out", "o"],
+         {"ckpt", "data", "vocab", "bpe", "out", "stats", "no_knowledge"},
+         names(BeamConfig)),
+        (["synth", "--out", "o"], {"out"}, names(SynthConfig)),
+        (["pipeline"], {"work", "config", "verbose"},
+         names(RunConfig, ["synth"]) | {"synth_" + n for n in names(SynthConfig)}),
+    ], ids=["train", "translate", "synth", "pipeline"])
+    def test_flags_are_the_dataclass_fields(self, argv, plain, expected):
+        args = vars(build_parser().parse_args(argv))
+        config = {k: v for k, v in args.items() if k not in plain | {"command", "func"}}
+        assert set(config) == expected
+        # None leaves the default to the dataclass
+        assert all(v is None for v in config.values())
+
+    def test_epochs_is_max_epochs(self):
+        args = build_parser().parse_args(["train", "--data", "d", "--vocab", "v",
+                                          "--out", "o", "--epochs", "3"])
+        assert args.max_epochs == 3
+
+    @pytest.mark.parametrize("argv, value", [([], None), (["--mix-plain"], True),
+                                             (["--mix-plain", "false"], False)])
+    def test_bool_flag_bare_or_with_value(self, argv, value):
+        assert build_parser().parse_args(["pipeline", *argv]).mix_plain is value
 
 
 class TestPipelineCommand:

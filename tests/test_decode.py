@@ -13,10 +13,9 @@ from promptmt.decode import (
     beam_search,
     greedy_decode,
     translate,
-    write_stats,
     write_translations,
 )
-from promptmt.errors import DataError
+from promptmt.errors import DataError, write_json
 from promptmt.model import (
     DecoderState,
     ModelConfig,
@@ -283,7 +282,7 @@ class TestBatchTranslate:
         )
         assert stats["mean_forced"] == 4.0
         assert stats["sentences_per_second"] > 0
-        write_stats(stats, tmp_path / "stats.json")
+        write_json(tmp_path / "stats.json", stats)
         import json
 
         loaded = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))

@@ -4,11 +4,10 @@ import dataclasses
 
 import pytest
 
-from promptmt.pipeline import RunConfig, build_bundles, prune_dictionary, run_pipeline
+from promptmt.pipeline import RunConfig, build_bundles, run_pipeline
 from promptmt.metrics import EvalReport
 from promptmt.retrieval import TmIndex
 from promptmt.synth import SynthConfig, generate
-from promptmt.terminology import TermDictionary, TermEntry
 
 
 def tiny_config(**overrides):
@@ -40,10 +39,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown knowledge"):
             RunConfig(knowledge=("term", "prosody"))
 
-    def test_rejects_bad_val_fraction(self):
-        with pytest.raises(ValueError, match="val_fraction"):
-            RunConfig(val_fraction=1.5)
-
     def test_model_config_carries_vocab_size(self):
         cfg = tiny_config()
         assert cfg.model_config(99).vocab_size == 99
@@ -53,28 +48,6 @@ class TestRunConfig:
         beam = tiny_config(beam_size=3, length_penalty=0.7).beam_config()
         assert beam.beam_size == 3
         assert beam.length_penalty == 0.7
-
-
-class TestPruneDictionary:
-    def make(self):
-        return TermDictionary([
-            TermEntry(source=("alpha",), target=("A",), id=0),
-            TermEntry(source=("beta",), target=("B",), id=1),
-        ])
-
-    def test_zero_min_count_keeps_everything(self):
-        d = self.make()
-        assert prune_dictionary(d, [], 0) is d
-
-    def test_drops_rare_terms(self):
-        class FakePair:
-            def __init__(self, source):
-                self.source = source
-
-        d = self.make()
-        corpus = [FakePair(("alpha", "x")), FakePair(("alpha", "y")), FakePair(("beta",))]
-        kept = prune_dictionary(d, corpus, 2)
-        assert [e.source for e in kept.entries] == [("alpha",)]
 
 
 class TestBuildBundles:
