@@ -151,6 +151,9 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # TrainConfig allows 0 epochs, but a run that trains nothing has no best epoch
+    if args.max_epochs is not None and args.max_epochs < 1:
+        raise ValueError(f"--epochs must be >= 1, got {args.max_epochs}")
     train_set = load_dataset(args.data)
     if args.val:
         val_set = load_dataset(args.val)
@@ -279,7 +282,9 @@ def _parsers(cls, skip=()) -> dict:
 
 
 _RUN_FIELDS = _parsers(RunConfig, skip=("synth",))
-_SYNTH_FIELDS = _parsers(SynthConfig)
+# run_pipeline seeds the task from RunConfig.seed, so SynthConfig.seed is not read
+_PIPELINE_SYNTH_SKIP = ("seed",)
+_SYNTH_FIELDS = _parsers(SynthConfig, skip=_PIPELINE_SYNTH_SKIP)
 
 
 def _add_config_flags(p, cls, skip=(), prefix="") -> None:
@@ -438,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--verbose", action="store_true", help="log progress to stdout")
     _add_config_flags(p, RunConfig, skip=("synth",))
-    _add_config_flags(p, SynthConfig, prefix="synth_")
+    _add_config_flags(p, SynthConfig, skip=_PIPELINE_SYNTH_SKIP, prefix="synth_")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

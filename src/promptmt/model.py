@@ -1,13 +1,15 @@
 """Encoder-decoder transformer in plain numpy with analytic gradients.
 
 Everything runs in float64 on the CPU. Parameters live in a flat
-name -> array dict; forward passes record a cache that the matching
-backward pass consumes, and the whole gradient is checkable against finite
-differences. Each weight gradient is one 2-D matrix product (BLAS GEMM)
-over the flattened batch and position axes. The loss is the mean over
-examples of the summed negative log likelihood at masked output positions
-only, so knowledge prefixes condition the decoder without being trained
-targets.
+name -> array dict. Both stacks are built, run and differentiated from one
+table, LAYER_SUBLAYERS: one loop, _layers, embeds a side's ids and runs
+its sublayers in order, recording a cache, and one loop, _layers_backward,
+walks that cache in reverse; the whole gradient is checkable against
+finite differences. Each weight gradient is one 2-D matrix product (BLAS
+GEMM) over the flattened batch and position axes. The loss is the mean
+over examples of the summed negative log likelihood at masked output
+positions only, so knowledge prefixes condition the decoder without being
+trained targets.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ SCHEDULES = ("constant", "linear")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+# (kind, parameter name) of each sublayer of an encoder or decoder layer, in
+# order; sublayer j (from 1) of layer i is LN(x + dropout(sublayer(x))) with
+# layer norm f"{side}{i}.ln{j}". "self" attends within the side's own
+# sequence, "cross" attends to the encoder output, "ff" is the feed-forward.
+LAYER_SUBLAYERS = {
+    "enc": (("self", "attn"), ("ff", "ff")),
+    "dec": (("self", "self"), ("cross", "cross"), ("ff", "ff")),
+}
 
 
 @dataclass(frozen=True)
@@ -129,36 +139,24 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict:
     d, f = config.d_model, config.d_ff
     params = {"embed": uniform(d, (config.vocab_size, d))}
 
-    def add_attention(prefix):
-        for name in ("wq", "wk", "wv", "wo"):
-            params[f"{prefix}.{name}"] = uniform(d, (d, d))
-        # no key bias: softmax rows are invariant to it, so it would be a
-        # dead parameter with an identically zero gradient
-        for name in ("bq", "bv", "bo"):
-            params[f"{prefix}.{name}"] = np.zeros(d)
-
-    def add_ff(prefix):
-        params[f"{prefix}.w1"] = uniform(d, (d, f))
-        params[f"{prefix}.b1"] = np.zeros(f)
-        params[f"{prefix}.w2"] = uniform(f, (f, d))
-        params[f"{prefix}.b2"] = np.zeros(d)
-
-    def add_ln(prefix):
-        params[f"{prefix}.g"] = np.ones(d)
-        params[f"{prefix}.b"] = np.zeros(d)
-
-    for i in range(config.n_enc_layers):
-        add_attention(f"enc{i}.attn")
-        add_ln(f"enc{i}.ln1")
-        add_ff(f"enc{i}.ff")
-        add_ln(f"enc{i}.ln2")
-    for i in range(config.n_dec_layers):
-        add_attention(f"dec{i}.self")
-        add_ln(f"dec{i}.ln1")
-        add_attention(f"dec{i}.cross")
-        add_ln(f"dec{i}.ln2")
-        add_ff(f"dec{i}.ff")
-        add_ln(f"dec{i}.ln3")
+    for side in ("enc", "dec"):
+        for i in range(getattr(config, f"n_{side}_layers")):
+            for j, (kind, name) in enumerate(LAYER_SUBLAYERS[side], 1):
+                prefix = f"{side}{i}.{name}"
+                if kind == "ff":
+                    params[f"{prefix}.w1"] = uniform(d, (d, f))
+                    params[f"{prefix}.b1"] = np.zeros(f)
+                    params[f"{prefix}.w2"] = uniform(f, (f, d))
+                    params[f"{prefix}.b2"] = np.zeros(d)
+                else:
+                    for w in ("wq", "wk", "wv", "wo"):
+                        params[f"{prefix}.{w}"] = uniform(d, (d, d))
+                    # no key bias: softmax rows are invariant to it, so it
+                    # would be a dead parameter with an identically zero gradient
+                    for bias in ("bq", "bv", "bo"):
+                        params[f"{prefix}.{bias}"] = np.zeros(d)
+                params[f"{side}{i}.ln{j}.g"] = np.ones(d)
+                params[f"{side}{i}.ln{j}.b"] = np.zeros(d)
     return params
 
 
@@ -297,7 +295,7 @@ def _attention_backward(dout, params, prefix, cache, n_heads, grads):
     return dx_q, dx_kv
 
 
-def _feed_forward(params, prefix, x, drop: _Dropout):
+def _feed_forward(params, prefix, x):
     w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
     w2, b2 = params[f"{prefix}.w2"], params[f"{prefix}.b2"]
     h = x @ w1 + b1
@@ -318,29 +316,12 @@ def _feed_forward_backward(dout, params, prefix, cache, grads):
     return dh @ w1.T
 
 
-def _sublayer(params, ln_prefix, x, sub_out, drop: _Dropout):
-    """Post-norm residual: LN(x + dropout(sub_out))."""
-    dropped, keep = drop.apply(sub_out)
-    y, ln_cache = _layer_norm(x + dropped, params[f"{ln_prefix}.g"], params[f"{ln_prefix}.b"])
-    return y, (ln_cache, keep)
-
-
-def _sublayer_backward(dy, params, ln_prefix, cache, grads):
-    ln_cache, keep = cache
-    dsum, dg, db = _layer_norm_backward(dy, ln_cache, params[f"{ln_prefix}.g"])
-    grads[f"{ln_prefix}.g"] += dg
-    grads[f"{ln_prefix}.b"] += db
-    dsub = _Dropout.backward(dsum, keep)
-    return dsum, dsub  # gradient w.r.t. x, gradient into the sublayer
-
-
 def _embed(params, config, ids, drop: _Dropout, start: int = 0):
     """Scaled embeddings plus positions start, start+1, ... of ids (B, L)."""
     scale = np.sqrt(config.d_model)
     emb = params["embed"][ids] * scale
     pe = sinusoidal_positions(config.max_positions, config.d_model)[start : start + ids.shape[1]]
-    x, keep = drop.apply(emb + pe)
-    return x, keep
+    return drop.apply(emb + pe)
 
 
 def _embed_backward(dx, ids, keep, scale, grads):
@@ -358,22 +339,6 @@ def _causal_mask(t: int, past: int = 0) -> np.ndarray:
 
 def _key_pad_mask(pad: np.ndarray) -> np.ndarray:
     return ((1.0 - pad) * NEG_INF)[:, None, None, :]
-
-
-def _encoder_layers(params, config, x, src_mask, drop: _Dropout):
-    """The encoder layers over embedded x; returns the output and the
-    per-layer backward caches."""
-    caches = []
-    for i in range(config.n_enc_layers):
-        k, v = _project_kv(params, f"enc{i}.attn", x, config.n_heads)
-        attn_out, attn_cache = _attention(
-            params, f"enc{i}.attn", x, x, k, v, src_mask, config.n_heads, drop
-        )
-        x1, sub1 = _sublayer(params, f"enc{i}.ln1", x, attn_out, drop)
-        ff_out, ff_cache = _feed_forward(params, f"enc{i}.ff", x1, drop)
-        x, sub2 = _sublayer(params, f"enc{i}.ln2", x1, ff_out, drop)
-        caches.append((attn_cache, sub1, ff_cache, sub2))
-    return x, caches
 
 
 class DecoderState:
@@ -411,37 +376,60 @@ class DecoderState:
         self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
 
 
-def _decoder_layers(params, config, y, enc_out, src_mask, drop: _Dropout, state=None):
-    """The decoder layers over embedded y (B, t, d); returns the output and
-    the per-layer backward caches.
+def _layers(params, config, side, ids, self_mask, drop: _Dropout,
+            memory=None, memory_mask=None, state=None, start=0):
+    """Embed ids (B, L) at positions start, start+1, ... and run the layers
+    of side ("enc" or "dec"); returns the output and the backward cache.
 
-    Without a state, y is the whole sequence and attends causally to
-    itself, and the cross-attention projects enc_out. With a DecoderState,
-    y follows the state.length positions already fed: its keys and values
-    are appended to the state's, and the cross-attention uses the state's.
+    Cross-attention reads memory, the encoder output. With a DecoderState,
+    ids follow the positions already fed: their self-attention keys and
+    values join the state's, and cross-attention uses the state's.
     """
-    causal = _causal_mask(y.shape[1], 0 if state is None else state.length)
-    caches = []
-    for i in range(config.n_dec_layers):
-        k, v = _project_kv(params, f"dec{i}.self", y, config.n_heads)
-        if state is not None:
-            k, v = state.append(i, k, v)
-        self_out, self_cache = _attention(
-            params, f"dec{i}.self", y, y, k, v, causal, config.n_heads, drop
-        )
-        y1, sub1 = _sublayer(params, f"dec{i}.ln1", y, self_out, drop)
-        if state is None:
-            k, v = _project_kv(params, f"dec{i}.cross", enc_out, config.n_heads)
+    x, embed_keep = _embed(params, config, ids, drop, start)
+    sublayers = []
+    for i in range(getattr(config, f"n_{side}_layers")):
+        for j, (kind, name) in enumerate(LAYER_SUBLAYERS[side], 1):
+            prefix = f"{side}{i}.{name}"
+            if kind == "ff":
+                out, sub_cache = _feed_forward(params, prefix, x)
+            else:
+                x_kv, mask = (x, self_mask) if kind == "self" else (memory, memory_mask)
+                if state is None:
+                    k, v = _project_kv(params, prefix, x_kv, config.n_heads)
+                elif kind == "self":
+                    k, v = state.append(i, *_project_kv(params, prefix, x, config.n_heads))
+                else:
+                    k, v = state.cross[i]
+                out, sub_cache = _attention(
+                    params, prefix, x, x_kv, k, v, mask, config.n_heads, drop
+                )
+            ln = f"{side}{i}.ln{j}"
+            dropped, keep = drop.apply(out)
+            x, ln_cache = _layer_norm(x + dropped, params[f"{ln}.g"], params[f"{ln}.b"])
+            sublayers.append((kind, prefix, ln, sub_cache, keep, ln_cache))
+    return x, {"ids": ids, "embed_keep": embed_keep, "sublayers": sublayers}
+
+
+def _layers_backward(dx, params, config, cache, grads):
+    """Backward through the sublayers and embedding _layers recorded, given
+    dx, the gradient of its output; returns the gradient of memory."""
+    dmemory = 0.0
+    for kind, prefix, ln, sub_cache, keep, ln_cache in reversed(cache["sublayers"]):
+        dsum, dg, db = _layer_norm_backward(dx, ln_cache, params[f"{ln}.g"])
+        grads[f"{ln}.g"] += dg
+        grads[f"{ln}.b"] += db
+        dout = _Dropout.backward(dsum, keep)
+        if kind == "ff":
+            dx = dsum + _feed_forward_backward(dout, params, prefix, sub_cache, grads)
         else:
-            k, v = state.cross[i]
-        cross_out, cross_cache = _attention(
-            params, f"dec{i}.cross", y1, enc_out, k, v, src_mask, config.n_heads, drop
-        )
-        y2, sub2 = _sublayer(params, f"dec{i}.ln2", y1, cross_out, drop)
-        ff_out, ff_cache = _feed_forward(params, f"dec{i}.ff", y2, drop)
-        y, sub3 = _sublayer(params, f"dec{i}.ln3", y2, ff_out, drop)
-        caches.append((self_cache, sub1, cross_cache, sub2, ff_cache, sub3))
-    return y, caches
+            dq, dkv = _attention_backward(dout, params, prefix, sub_cache, config.n_heads, grads)
+            dx = dsum + dq
+            if kind == "self":
+                dx += dkv
+            else:
+                dmemory = dmemory + dkv
+    _embed_backward(dx, cache["ids"], cache["embed_keep"], np.sqrt(config.d_model), grads)
+    return dmemory
 
 
 def forward(params: dict, config: ModelConfig, batch: Batch, dropout_rng=None):
@@ -457,27 +445,16 @@ def forward(params: dict, config: ModelConfig, batch: Batch, dropout_rng=None):
         )
     drop = _Dropout(config.dropout, dropout_rng)
     src_mask = _key_pad_mask(batch.src_pad)
-
-    x, enc_emb_keep = _embed(params, config, batch.src, drop)
-    enc_out, enc_caches = _encoder_layers(params, config, x, src_mask, drop)
-
+    enc_out, enc_cache = _layers(params, config, "enc", batch.src, src_mask, drop)
     dec_in = np.concatenate(
         [np.full((b, 1), BOS_ID, dtype=np.int64), batch.out[:, :-1]], axis=1
     )
-    y, dec_emb_keep = _embed(params, config, dec_in, drop)
-    y, dec_caches = _decoder_layers(params, config, y, enc_out, src_mask, drop)
-
+    y, dec_cache = _layers(
+        params, config, "dec", dec_in, _causal_mask(t), drop,
+        memory=enc_out, memory_mask=src_mask,
+    )
     logits = y @ params["embed"].T
-    cache = {
-        "enc_emb_keep": enc_emb_keep,
-        "dec_emb_keep": dec_emb_keep,
-        "enc_caches": enc_caches,
-        "dec_caches": dec_caches,
-        "enc_out": enc_out,
-        "dec_in": dec_in,
-        "dec_out": y,
-    }
-    return logits, cache
+    return logits, {"enc": enc_cache, "dec": dec_cache, "dec_out": y}
 
 
 def loss(logits: np.ndarray, batch: Batch) -> float:
@@ -510,45 +487,17 @@ def loss_and_gradients(params, config, batch, dropout_rng=None):
     # output projection is the tied embedding
     grads["embed"] += _weight_grad(dlogits, cache["dec_out"])
     dy = dlogits @ params["embed"]
-
-    denc_out = np.zeros_like(cache["enc_out"])
-    for i in reversed(range(config.n_dec_layers)):
-        self_cache, sub1, cross_cache, sub2, ff_cache, sub3 = cache["dec_caches"][i]
-        dy2, dff = _sublayer_backward(dy, params, f"dec{i}.ln3", sub3, grads)
-        dy2 += _feed_forward_backward(dff, params, f"dec{i}.ff", ff_cache, grads)
-        dy1, dcross = _sublayer_backward(dy2, params, f"dec{i}.ln2", sub2, grads)
-        dq, dkv = _attention_backward(
-            dcross, params, f"dec{i}.cross", cross_cache, config.n_heads, grads
-        )
-        dy1 += dq
-        denc_out += dkv
-        dy0, dself = _sublayer_backward(dy1, params, f"dec{i}.ln1", sub1, grads)
-        dq, dkv = _attention_backward(
-            dself, params, f"dec{i}.self", self_cache, config.n_heads, grads
-        )
-        dy = dy0 + dq + dkv
-    _embed_backward(dy, cache["dec_in"], cache["dec_emb_keep"], np.sqrt(config.d_model), grads)
-
-    dx = denc_out
-    for i in reversed(range(config.n_enc_layers)):
-        attn_cache, sub1, ff_cache, sub2 = cache["enc_caches"][i]
-        dx1, dff = _sublayer_backward(dx, params, f"enc{i}.ln2", sub2, grads)
-        dx1 += _feed_forward_backward(dff, params, f"enc{i}.ff", ff_cache, grads)
-        dx0, dattn = _sublayer_backward(dx1, params, f"enc{i}.ln1", sub1, grads)
-        dq, dkv = _attention_backward(
-            dattn, params, f"enc{i}.attn", attn_cache, config.n_heads, grads
-        )
-        dx = dx0 + dq + dkv
-    _embed_backward(dx, batch.src, cache["enc_emb_keep"], np.sqrt(config.d_model), grads)
+    denc_out = _layers_backward(dy, params, config, cache["dec"], grads)
+    _layers_backward(denc_out, params, config, cache["enc"], grads)
     return value, grads
 
 
 def encode_source(params, config, src: np.ndarray, src_pad: np.ndarray):
     """Encoder output for decoding; no dropout, no cache retention."""
-    drop = _Dropout(0.0, None)
-    x, _ = _embed(params, config, src, drop)
-    x, _ = _encoder_layers(params, config, x, _key_pad_mask(src_pad), drop)
-    return x
+    enc_out, _ = _layers(
+        params, config, "enc", src, _key_pad_mask(src_pad), _Dropout(0.0, None)
+    )
+    return enc_out
 
 
 def _decoder_logits(params, config, dec_in, enc_out, src_mask, state=None):
@@ -558,9 +507,11 @@ def _decoder_logits(params, config, dec_in, enc_out, src_mask, state=None):
             f"decoder length {start + dec_in.shape[1]} exceeds max_positions "
             f"{config.max_positions}"
         )
-    drop = _Dropout(0.0, None)
-    y, _ = _embed(params, config, dec_in, drop, start)
-    y, _ = _decoder_layers(params, config, y, enc_out, src_mask, drop, state)
+    y, _ = _layers(
+        params, config, "dec", dec_in, _causal_mask(dec_in.shape[1], start),
+        _Dropout(0.0, None), memory=enc_out, memory_mask=src_mask, state=state,
+        start=start,
+    )
     return y @ params["embed"].T
 
 

@@ -46,7 +46,8 @@ class RunConfig:
 
     knowledge picks which prompt blocks are built ("term", "sent", or
     both); templates stay out of the synthetic task, whose sentences are
-    deliberately flat.
+    deliberately flat. The task is generated with seed, like every other
+    stage; synth.seed is not read.
     """
 
     synth: SynthConfig = field(default_factory=SynthConfig)

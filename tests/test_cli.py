@@ -508,6 +508,13 @@ class TestConfigFile:
         with pytest.raises(DataError, match="unknown key"):
             load_config_file(cfg)
 
+    def test_task_seed_is_not_a_key(self, tmp_path):
+        # the pipeline seeds the task from seed; a synth.seed would be ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.seed = 3\n")
+        with pytest.raises(DataError, match="unknown key 'synth.seed'"):
+            load_config_file(cfg)
+
     def test_missing_equals_is_an_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed 5\n")
@@ -537,7 +544,7 @@ class TestConfigFlags:
          names(BeamConfig)),
         (["synth", "--out", "o"], {"out"}, names(SynthConfig)),
         (["pipeline"], {"work", "config", "verbose"},
-         names(RunConfig, ["synth"]) | {"synth_" + n for n in names(SynthConfig)}),
+         names(RunConfig, ["synth"]) | {"synth_" + n for n in names(SynthConfig, ["seed"])}),
     ], ids=["train", "translate", "synth", "pipeline"])
     def test_flags_are_the_dataclass_fields(self, argv, plain, expected):
         args = vars(build_parser().parse_args(argv))
@@ -550,6 +557,16 @@ class TestConfigFlags:
         args = build_parser().parse_args(["train", "--data", "d", "--vocab", "v",
                                           "--out", "o", "--epochs", "3"])
         assert args.max_epochs == 3
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_train_epochs_below_one_is_one_and_named(self, tmp_path, epochs):
+        # rejected before --data is read: it does not exist
+        r = run_cli("train", "--data", tmp_path / "absent.jsonl", "--vocab", tmp_path / "v",
+                    "--out", tmp_path / "m.ckpt", "--epochs", epochs)
+        assert r.returncode == 1, r.stderr
+        assert "--epochs" in r.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.json").exists()
 
     @pytest.mark.parametrize("argv, value", [([], None), (["--mix-plain"], True),
                                              (["--mix-plain", "false"], False)])

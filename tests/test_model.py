@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fd import check_gradients
-from promptmt.corpus import SPECIAL_TOKENS, Vocab
+from promptmt.corpus import PAD_ID, SPECIAL_TOKENS, Vocab
 from promptmt.errors import DataError
 from promptmt.model import (
     Adam,
@@ -274,6 +274,25 @@ class TestGradients:
         _, grads = loss_and_gradients(params, cfg, batch)
         worst, worst_name = check_gradients(
             params, cfg, batch, grads, rng, samples_per_tensor=4
+        )
+        assert worst < 1e-4, f"worst {worst:.2e} at {worst_name}"
+
+    def test_matches_finite_differences_two_layers_dropout_padding(self):
+        # two layers a side catch a wrong layer order in the backward and a
+        # wrong sum of the encoder-output gradient over decoder layers
+        cfg = tiny_config(n_enc_layers=2, n_dec_layers=2, dropout=0.2)
+        params = init_params(cfg, seed=11)
+        rng = np.random.default_rng(12)
+        batch = random_batch(rng, cfg, b=2, s=4, t=5)
+        batch.src[1, 2:] = PAD_ID
+        batch.src_pad[1, 2:] = 0.0
+        dropout_seed = 13
+        _, grads = loss_and_gradients(
+            params, cfg, batch, dropout_rng=np.random.default_rng(dropout_seed)
+        )
+        worst, worst_name = check_gradients(
+            params, cfg, batch, grads, rng, samples_per_tensor=4,
+            dropout_seed=dropout_seed,
         )
         assert worst < 1e-4, f"worst {worst:.2e} at {worst_name}"
 
