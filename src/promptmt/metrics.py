@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError, read_text, write_json
-from .terminology import contains_subsequence
+from .terminology import ngrams
 
 MAX_ORDER = 4
 
@@ -45,10 +45,6 @@ class EvalReport:
             f"exact match  {self.exact_match:7.4f}  ({self.n_matched}/{self.n_terms} terms)",
         ]
         return "\n".join(lines)
-
-
-def _ngrams(tokens: list, order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
 def _fold(tokens) -> list:
@@ -77,8 +73,8 @@ def corpus_bleu(hypotheses: list, references: list, smooth: bool = True) -> floa
         hyp_len += len(hyp)
         ref_len += len(ref)
         for order in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp, order)
-            ref_counts = _ngrams(ref, order)
+            hyp_counts = Counter(ngrams(hyp, order))
+            ref_counts = Counter(ngrams(ref, order))
             possible[order - 1] += max(len(hyp) - order + 1, 0)
             for gram, count in hyp_counts.items():
                 matched[order - 1] += min(count, ref_counts[gram])
@@ -113,7 +109,7 @@ def exact_match_accuracy(hypotheses: list, term_sets: list):
         hyp = _fold(hyp)
         for term in terms:
             n_terms += 1
-            if contains_subsequence(hyp, _fold(term)):
+            if tuple(_fold(term)) in ngrams(hyp, len(term)):
                 n_matched += 1
     accuracy = n_matched / n_terms if n_terms else 1.0
     return accuracy, n_matched, n_terms

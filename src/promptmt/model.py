@@ -55,14 +55,14 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
         for name in ("vocab_size", "d_model", "n_heads", "n_enc_layers",
                      "n_dec_layers", "d_ff", "max_positions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(
+                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -162,15 +162,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict:
 
 def zeros_like_params(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def average_params(snapshots: list) -> dict:
-    """Parameter-wise arithmetic mean of several same-shaped param dicts."""
-    if not snapshots:
-        raise ValueError("no parameter snapshots to average")
-    return {
-        k: sum(s[k] for s in snapshots) / len(snapshots) for k in snapshots[0]
-    }
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -542,11 +533,12 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 30
     seed: int = 0
-    average_last: int = 0  # 0 disables checkpoint averaging
     warmup_steps: int = 0
     schedule: str = "constant"
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}, pick from {SCHEDULES}")
 
@@ -609,8 +601,7 @@ def train(
     """Adam training loop with early stopping on validation loss.
 
     Deterministic for a fixed seed: shuffling, dropout, and batch order all
-    derive from one generator. Returns the best-validation parameters, or
-    the mean of the last average_last epoch snapshots when that is set.
+    derive from one generator. Returns the best-validation parameters.
     """
     if not train_set:
         raise DataError("training set is empty")
@@ -622,7 +613,6 @@ def train(
     best_val = np.inf
     best_epoch = -1
     best_params = {k: v.copy() for k, v in params.items()}
-    snapshots: list[dict] = []
     steps_per_epoch = -(-len(train_set) // train_config.batch_size)
     total_steps = steps_per_epoch * train_config.max_epochs
     step = 0
@@ -655,10 +645,6 @@ def train(
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
 
-        if train_config.average_last > 0:
-            snapshots.append({k: v.copy() for k, v in params.items()})
-            snapshots = snapshots[-train_config.average_last :]
-
         if log is not None:
             msg = f"epoch {epoch}: train {train_losses[-1]:.4f}"
             if val_set:
@@ -667,9 +653,8 @@ def train(
         if val_set and epoch - best_epoch >= train_config.patience:
             break
 
-    final = average_params(snapshots) if snapshots else best_params
     return TrainResult(
-        params=final,
+        params=best_params,
         train_losses=train_losses,
         val_losses=val_losses,
         best_epoch=best_epoch,
@@ -740,7 +725,8 @@ def _read_tensors(path: Path, data: bytes) -> dict:
             tensor = np.frombuffer(data, dtype="<f8", count=n_bytes // 8, offset=off)
             off += n_bytes
             params[name] = tensor.reshape(shape).copy()
-    except (struct.error, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError and a shape numpy cannot build
         raise DataError(f"{path}: truncated or corrupt checkpoint in {where}: {exc}") from exc
     if off != len(data):
         raise DataError(f"{path}: {len(data) - off} trailing bytes")
@@ -762,10 +748,11 @@ def load_checkpoint(path: str | Path):
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig.from_dict(sidecar["config"])
+        want = {k: v.shape for k, v in init_params(config).items()}
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and bad sizes
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and bad
+        # sizes; TypeError a size that is no integer, such as 1e3
         raise DataError(f"{sidecar_path}: bad checkpoint sidecar: {exc!r}") from exc
-    want = {k: v.shape for k, v in init_params(config).items()}
     have = {k: v.shape for k, v in params.items()}
     if have != want:
         name = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))

@@ -21,7 +21,6 @@ from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel
 from .errors import write_json
 from .metrics import EvalReport, evaluate, save_report
 from .model import (
-    SCHEDULES,
     ModelConfig,
     TrainConfig,
     init_params,
@@ -85,8 +84,12 @@ class RunConfig:
         bad = [k for k in self.knowledge if k not in KNOWLEDGE_KINDS]
         if bad:
             raise ValueError(f"unknown knowledge kinds {bad}, pick from {KNOWLEDGE_KINDS}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}, pick from {SCHEDULES}")
+        # the configs the run builds check their own values; building them
+        # here, the vocabulary size a placeholder, rejects a bad value
+        # before anything is written
+        self.model_config(vocab_size=1)
+        self.train_config(self.stage1_epochs, self.seed)
+        self.beam_config()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return config_from(ModelConfig, self, vocab_size=vocab_size)

@@ -4,11 +4,15 @@ A dictionary entry pairs a source term with a target term, each a token
 sequence. An entry matches a sentence pair when its source term appears as a
 contiguous token subsequence of the source sentence and its target term
 appears as one of the target sentence. Overlapping matches are all kept.
+
+ngrams forms the contiguous token runs of a sentence. A dictionary looks up
+a sentence's runs of each term length it holds, BLEU counts them and term
+exact match tests membership in them: every contiguous-token search in
+the toolkit goes through it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,56 +32,31 @@ class TermEntry:
             raise DataError(f"term entry {self.id} has an empty side")
 
 
-class _TokenAutomaton:
-    """Aho-Corasick automaton over token sequences.
+def ngrams(tokens, n: int) -> list[tuple]:
+    """The contiguous n-token runs of tokens, as tuples in order; n = 0
+    gives one empty run per boundary, len(tokens) + 1 of them."""
+    tokens = tuple(tokens)
+    return [tokens[i : i + n] for i in range(len(tokens) - n + 1)]
 
-    find() reports every (pattern_index, start) occurrence in one pass,
-    so matching the whole dictionary against a sentence costs the sentence
-    length plus the number of occurrences.
-    """
 
-    def __init__(self, patterns: list[tuple[str, ...]]):
-        self._lengths = [len(p) for p in patterns]
-        self._next: list[dict[str, int]] = [{}]
-        self._out: list[list[int]] = [[]]
-        self._fail = [0]
-        for idx, pattern in enumerate(patterns):
-            state = 0
-            for tok in pattern:
-                nxt = self._next[state].get(tok)
-                if nxt is None:
-                    self._next.append({})
-                    self._out.append([])
-                    self._fail.append(0)
-                    nxt = len(self._next) - 1
-                    self._next[state][tok] = nxt
-                state = nxt
-            self._out[state].append(idx)
+class _TermIndex:
+    """One side of a dictionary: {term: [entry index, ...]} and the term
+    lengths, so a sentence is searched by looking up its n-grams."""
 
-        queue = deque(self._next[0].values())
-        while queue:
-            state = queue.popleft()
-            for tok, child in self._next[state].items():
-                queue.append(child)
-                fail = self._fail[state]
-                while fail and tok not in self._next[fail]:
-                    fail = self._fail[fail]
-                self._fail[child] = self._next[fail].get(tok, 0)
-                # fail targets are strictly shallower, so their output sets
-                # are already final in BFS order
-                self._out[child] = self._out[child] + self._out[self._fail[child]]
+    def __init__(self, terms):
+        self._entries: dict[tuple, list[int]] = {}
+        for idx, term in enumerate(terms):
+            self._entries.setdefault(tuple(term), []).append(idx)
+        self._lengths = {len(term) for term in self._entries}
 
-    def find(self, tokens) -> list[tuple[int, int]]:
-        """All (pattern_index, start_position) occurrences in tokens."""
-        hits = []
-        state = 0
-        for pos, tok in enumerate(tokens):
-            while state and tok not in self._next[state]:
-                state = self._fail[state]
-            state = self._next[state].get(tok, 0)
-            for idx in self._out[state]:
-                hits.append((idx, pos - self._lengths[idx] + 1))
-        return hits
+    def find(self, tokens) -> set[int]:
+        """Indices of the entries whose term occurs in tokens."""
+        return {
+            idx
+            for n in self._lengths
+            for gram in ngrams(tokens, n)
+            for idx in self._entries.get(gram, ())
+        }
 
 
 class TermDictionary:
@@ -88,8 +67,8 @@ class TermDictionary:
         if len(set(ids)) != len(ids):
             raise DataError("terminology dictionary has duplicate entry ids")
         self.entries = list(entries)
-        self._src_automaton = _TokenAutomaton([e.source for e in entries])
-        self._tgt_automaton = _TokenAutomaton([e.target for e in entries])
+        self._src = _TermIndex([e.source for e in entries])
+        self._tgt = _TermIndex([e.target for e in entries])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -99,10 +78,10 @@ class TermDictionary:
 
         Each entry is reported at most once, in dictionary order.
         """
-        src_idx = {idx for idx, _ in self._src_automaton.find(source)}
+        src_idx = self._src.find(source)
         if not src_idx:
             return []
-        tgt_idx = {idx for idx, _ in self._tgt_automaton.find(target)}
+        tgt_idx = self._tgt.find(target)
         return [self.entries[i] for i in sorted(src_idx & tgt_idx)]
 
     def match_source_only(self, source) -> list[TermEntry]:
@@ -110,17 +89,7 @@ class TermDictionary:
 
         Used at inference time, when no reference target exists.
         """
-        src_idx = {idx for idx, _ in self._src_automaton.find(source)}
-        return [self.entries[i] for i in sorted(src_idx)]
-
-
-def contains_subsequence(haystack, needle) -> bool:
-    """True if needle occurs as a contiguous run inside haystack."""
-    haystack, needle = list(haystack), list(needle)
-    if not needle:
-        return True
-    n = len(needle)
-    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+        return [self.entries[i] for i in sorted(self._src.find(source))]
 
 
 def load_dictionary(path: str | Path) -> TermDictionary:

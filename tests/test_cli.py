@@ -16,7 +16,13 @@ from promptmt.cli import build_parser, load_config_file
 from promptmt.decode import BeamConfig
 from promptmt.errors import DataError
 from promptmt.metrics import load_tokenized
-from promptmt.model import ModelConfig, TrainConfig
+from promptmt.model import (
+    ModelConfig,
+    TrainConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from promptmt.pipeline import RunConfig, build_bundles
 from promptmt.prompt import build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_hits, load_tm
@@ -391,6 +397,33 @@ class TestTrainTranslateEvaluate:
         assert r.returncode == 2
         assert "cut.ckpt: truncated" in r.stderr
 
+    @pytest.mark.parametrize("corrupt", ["ndim", "sidecar-n-heads"])
+    def test_translate_rejects_corrupt_checkpoint(self, artifacts, tmp_path, corrupt):
+        work, _ = artifacts
+        ckpt = tmp_path / "bad.ckpt"
+        # untrained: the zero biases after the first tensor's shape read as
+        # zero dimensions, so a large ndim gets past the length check
+        _, config, _ = load_checkpoint(work / "model.ckpt")
+        save_checkpoint(ckpt, init_params(config), config, Vocab.load(work / "vocab.txt"))
+        data = bytearray(ckpt.read_bytes())
+        sidecar = json.loads((tmp_path / "bad.ckpt.json").read_text())
+        if corrupt == "ndim":
+            # magic, u16 version, u32 count, u16 name length, name, then ndim
+            name_len = int.from_bytes(data[13:15], "little")
+            data[15 + name_len] = 100
+            named = f"{ckpt}: truncated or corrupt checkpoint in tensor "
+        else:
+            sidecar["config"]["n_heads"] = 0
+            named = f"{ckpt}.json: bad checkpoint sidecar"
+        ckpt.write_bytes(bytes(data))
+        (tmp_path / "bad.ckpt.json").write_text(json.dumps(sidecar))
+        r = run_cli("translate", "--ckpt", ckpt,
+                    "--data", work / "test.jsonl", "--vocab", work / "vocab.txt",
+                    "--out", tmp_path / "h.txt")
+        assert r.returncode == 2, r.stderr
+        assert named in r.stderr
+        assert not (tmp_path / "h.txt").exists()
+
     def test_evaluate_json_and_table(self, artifacts):
         work, task = artifacts
         r = run_cli("evaluate", "--hyp", task / "test.tgt", "--ref", task / "test.tgt")
@@ -471,6 +504,17 @@ class TestExitCodes:
                     "--out", tmp_path / "m.ckpt", "--schedule", "bogus")
         assert r.returncode == 1, r.stderr
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--d-model", 50), ("--n-heads", 0), ("--beam-size", 0), ("--dropout", 1.0),
+        ("--batch-size", 0),
+    ])
+    def test_invalid_pipeline_value_is_one_before_any_work(self, tmp_path, flag, value):
+        run = tmp_path / "run"
+        r = run_cli("pipeline", "--work", run, flag, value)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: ")
+        assert not run.exists()
 
     def test_help_is_zero(self):
         assert run_cli("--help").returncode == 0

@@ -3,12 +3,14 @@ retrieval hits, the term dictionary, term matches and prompted datasets.
 
 Every loader reads through errors.read_jsonl, so a bad record anywhere
 is a DataError naming the file and the line, and nothing else escapes.
-The corruption sweeps also cover the two line-per-entry files a model
-needs, the vocabulary and the BPE merges.
+The corruption sweeps also cover the other files a user hands the
+toolkit: the vocabulary and BPE merges, parse trees, evaluation reports,
+and both halves of a checkpoint, the tensor file and its sidecar.
 """
 
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,11 @@ from hypothesis import strategies as st
 
 from promptmt.corpus import BpeModel, SentencePair, Vocab, train_bpe
 from promptmt.errors import DataError, read_jsonl, write_jsonl
+from promptmt.metrics import EvalReport, load_report, save_report
+from promptmt.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from promptmt.prompt import KnowledgeBundle, assemble, load_dataset, save_dataset
 from promptmt.retrieval import RetrievalHit, load_hits, load_tm, save_hits, save_tm
+from promptmt.template import load_trees
 from promptmt.terminology import (
     TermDictionary,
     TermEntry,
@@ -33,7 +38,8 @@ PAIR = SentencePair(("le", "chat", "noir"), ("der", "schwarze", "猫"), 0)
 
 
 def _write_valid(kind, path):
-    """A small valid file of each kind, non-ASCII tokens included."""
+    """A small valid file of each kind, non-ASCII tokens included; a
+    checkpoint also writes its sidecar, path + ".json"."""
     if kind == "tm":
         save_tm([(0, ["le", "chat"], ["猫"]), (1, ["chien"], ["Hund", "é"])], path)
     elif kind == "hits":
@@ -47,6 +53,16 @@ def _write_valid(kind, path):
         Vocab.build(PAIR.source + PAIR.target).save(path)
     elif kind == "merges":
         train_bpe([PAIR.source, PAIR.target], 8).save(path)
+    elif kind == "trees":
+        # a blank line is a sentence without a parse
+        path.write_text("(S (NP (DT le) (NN chat)) (VP (VB é)))\n\n(X y)\n", encoding="utf-8")
+    elif kind == "report":
+        save_report(EvalReport(bleu=12.5, exact_match=0.75, n_terms=4, n_matched=3), path)
+    elif kind in ("ckpt", "sidecar"):
+        # a three-digit vocab_size, so one-byte edits reach a float size (1e3)
+        config = ModelConfig(vocab_size=123, d_model=2, n_heads=1, n_enc_layers=1,
+                             n_dec_layers=1, d_ff=2, max_positions=4)
+        save_checkpoint(path, init_params(config), config, Vocab.build(PAIR.source))
     else:
         bundle = KnowledgeBundle(terms=((CAT.source, CAT.target),))
         save_dataset([assemble(PAIR, bundle), assemble(PAIR, include_target=False)], path)
@@ -60,7 +76,14 @@ LOADERS = {
     "dataset": load_dataset,
     "vocab": Vocab.load,
     "merges": BpeModel.load,
+    "trees": load_trees,
+    "report": load_report,
+    "ckpt": load_checkpoint,
+    "sidecar": load_checkpoint,
 }
+# the file the sweeps corrupt, as a suffix of the path the loader reads;
+# the other half of a checkpoint stays valid
+CORRUPTED = {"sidecar": ".json"}
 
 
 class TestReadWrite:
@@ -78,18 +101,37 @@ class TestReadWrite:
             read_jsonl(path, "thing", lambda rec, i: rec)
 
 
+def _valid_files(kind, path) -> dict:
+    """{path suffix: bytes} of the files of a valid instance of kind."""
+    _write_valid(kind, path)
+    return {suffix: Path(f"{path}{suffix}").read_bytes()
+            for suffix in ("", ".json") if Path(f"{path}{suffix}").exists()}
+
+
+def _loads_or_names_itself(kind, files, path, data):
+    """Write files at path with the one kind corrupts replaced by data, then
+    load: a DataError must name the corrupted file, or for a sidecar that
+    no longer fits its tensors, the tensor file."""
+    target = CORRUPTED.get(kind, "")
+    for suffix, valid in files.items():
+        Path(f"{path}{suffix}").write_bytes(data if suffix == target else valid)
+    try:
+        LOADERS[kind](path)
+    except DataError as exc:
+        assert str(exc).startswith((f"{path}{target}: ", f"{path}: ")), (exc, data)
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
-    files = {}
-    for kind in LOADERS:
-        _write_valid(kind, root / f"{kind}.jsonl")
-        files[kind] = (root / f"{kind}.jsonl").read_bytes()
-    return root, files
+    return root, {kind: _valid_files(kind, root / kind) for kind in LOADERS}
 
 
-# replacement bytes that keep a line parseable more often than a random one
-JSON_BYTES = b'0123456789"[]{},:. \nlnrtue-'
+# replacement bytes that keep a JSON or tree line parseable more often than
+# a random one, and for the binary tensor file, bytes that make sizes zero,
+# one or huge
+JSON_BYTES = b'0123456789"[]{}(),:. \nlnrtue-'
+SWEEP_BYTES = {"ckpt": b"\x00\x01\xff"}
 _names = itertools.count()
 
 
@@ -105,33 +147,23 @@ def test_corrupt_file_loads_or_names_itself(valid_files, kind, where, byte):
     """Truncated at any byte (byte None) or with one byte replaced, a valid
     file loads or raises a DataError naming the file, never anything else."""
     root, files = valid_files
-    data = files[kind]
+    data = files[kind][CORRUPTED.get(kind, "")]
     pos = int(where * len(data))
     data = data[:pos] if byte is None else data[:pos] + bytes([byte]) + data[pos + 1 :]
     # a new name each time: rewriting one file is slow on some filesystems
-    path = root / f"corrupt-{next(_names)}.jsonl"
-    path.write_bytes(data)
-    try:
-        LOADERS[kind](path)
-    except DataError as exc:
-        assert str(exc).startswith(f"{path}: ")
+    _loads_or_names_itself(kind, files[kind], root / f"corrupt-{next(_names)}", data)
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_every_json_byte_at_every_position(tmp_path, kind):
-    """The exhaustive version of the property above for JSON_BYTES; it is
-    what reaches one-digit edits such as a duplicated id."""
-    _write_valid(kind, tmp_path / "valid.jsonl")
-    data = (tmp_path / "valid.jsonl").read_bytes()
+    """The exhaustive version of the property above for the kind's sweep
+    bytes; it is what reaches one-digit edits such as a duplicated id."""
+    files = _valid_files(kind, tmp_path / "valid")
+    data = files[CORRUPTED.get(kind, "")]
     for pos in range(len(data)):
-        for byte in [None, *JSON_BYTES]:
+        for byte in [None, *SWEEP_BYTES.get(kind, JSON_BYTES)]:
             corrupt = data[:pos] if byte is None else data[:pos] + bytes([byte]) + data[pos + 1 :]
-            path = tmp_path / f"{pos}-{byte}.jsonl"
-            path.write_bytes(corrupt)
-            try:
-                LOADERS[kind](path)
-            except DataError as exc:
-                assert str(exc).startswith(f"{path}: "), corrupt
+            _loads_or_names_itself(kind, files, tmp_path / f"{pos}-{byte}", corrupt)
 
 
 GOOD = {

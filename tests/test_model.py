@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from fd import check_gradients
 from promptmt.corpus import PAD_ID, SPECIAL_TOKENS, Vocab
 from promptmt.errors import DataError
 from promptmt.model import (
+    CHECKPOINT_MAGIC,
     Adam,
     Batch,
     DecoderState,
     ModelConfig,
     TrainConfig,
-    average_params,
     decoder_logits,
     decoder_step,
     encode_source,
@@ -62,6 +63,13 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(vocab_size=10, d_model=10, n_heads=4)
+
+    @pytest.mark.parametrize("name", ["vocab_size", "d_model", "n_heads", "n_enc_layers",
+                                      "n_dec_layers", "d_ff", "max_positions"])
+    def test_sizes_below_one_rejected(self, name):
+        # n_heads 0 must not reach the d_model % n_heads check
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            ModelConfig(**{"vocab_size": 10, name: 0})
 
     def test_dropout_range(self):
         with pytest.raises(ValueError, match="dropout"):
@@ -461,12 +469,6 @@ class TestTraining:
         with pytest.raises(RuntimeError, match="diverged"):
             train(params, cfg, data, None, TrainConfig(max_epochs=1, batch_size=2), vocab)
 
-    def test_checkpoint_averaging(self):
-        a = {"w": np.array([1.0, 3.0])}
-        b = {"w": np.array([3.0, 5.0])}
-        avg = average_params([a, b])
-        assert np.array_equal(avg["w"], np.array([2.0, 4.0]))
-
     def test_lr_schedule(self):
         tc = TrainConfig(lr=1.0, warmup_steps=4, schedule="linear")
         assert tc.lr_at(1, 100) == 0.25
@@ -478,6 +480,11 @@ class TestTraining:
         assert constant.lr_at(100, 100) == 0.5
         with pytest.raises(ValueError, match="schedule"):
             TrainConfig(schedule="cosine").lr_at(1, 10)
+
+    def test_batch_size_below_one_rejected(self):
+        # train would otherwise divide by it on its first line of work
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=0)
 
     def test_adam_zero_lr_freezes(self):
         cfg = tiny_config()
@@ -562,6 +569,28 @@ class TestCheckpoint:
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:12])
         with pytest.raises(DataError, match=r"model\.ckpt: truncated or corrupt"):
+            load_checkpoint(path)
+
+    def test_corrupt_ndim_names_file_and_tensor(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        # magic, u16 version, u32 count, then the first tensor's u16 name length
+        off = len(CHECKPOINT_MAGIC) + 6
+        name_len = int.from_bytes(data[off : off + 2], "little")
+        name = data[off + 2 : off + 2 + name_len].decode()
+        data[off + 2 + name_len] = 100
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=rf"model\.ckpt: .*tensor '{re.escape(name)}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("n_heads", 0), ("vocab_size", 1e3)])
+    def test_bad_sidecar_size_names_it(self, tmp_path, key, value):
+        path = self.saved(tmp_path)
+        sidecar_path = tmp_path / "model.ckpt.json"
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar["config"][key] = value
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(DataError, match=r"model\.ckpt\.json: bad checkpoint sidecar"):
             load_checkpoint(path)
 
     def test_malformed_sidecar_names_it(self, tmp_path):

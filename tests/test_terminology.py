@@ -12,36 +12,56 @@ from promptmt.errors import DataError
 from promptmt.terminology import (
     TermDictionary,
     TermEntry,
-    contains_subsequence,
     load_dictionary,
     load_matches,
+    ngrams,
     save_dictionary,
     save_matches,
 )
 
 
-def brute_force_match(entries, source, target):
-    """Per-entry containment scan, the oracle for the automaton path."""
+def contains_run(haystack, needle) -> bool:
+    """True if needle occurs as a contiguous run inside haystack, by a
+    slice-by-slice scan that shares no code with ngrams."""
+    haystack, needle = list(haystack), list(needle)
+    n = len(needle)
+    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+
+
+def brute_force_match(entries, source, target=None):
+    """Per-entry containment scan, the oracle for the dictionary lookup;
+    target None checks the source side alone."""
     return [
         e
         for e in entries
-        if contains_subsequence(source, e.source)
-        and contains_subsequence(target, e.target)
+        if contains_run(source, e.source)
+        and (target is None or contains_run(target, e.target))
     ]
 
 
-class TestContainsSubsequence:
-    def test_basic(self):
-        assert contains_subsequence(["a", "b", "c"], ["b", "c"])
-        assert contains_subsequence(["a", "b", "c"], ["a", "b", "c"])
-        assert not contains_subsequence(["a", "b", "c"], ["c", "b"])
-        assert not contains_subsequence(["a", "b"], ["a", "b", "c"])
+class TestNgrams:
+    def test_runs_in_order(self):
+        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
+        assert ngrams(("a", "b", "c"), 3) == [("a", "b", "c")]
+        assert ngrams(["a", "b", "a"], 1) == [("a",), ("b",), ("a",)]
 
     def test_must_be_contiguous(self):
-        assert not contains_subsequence(["a", "x", "b"], ["a", "b"])
+        assert ("a", "b") not in ngrams(["a", "x", "b"], 2)
 
-    def test_empty_needle(self):
-        assert contains_subsequence(["a"], [])
+    def test_longer_than_tokens_gives_none(self):
+        assert ngrams(["a", "b"], 3) == []
+        assert ngrams([], 1) == []
+
+    def test_zero_gives_one_empty_run_per_boundary(self):
+        # so the empty term occurs in every sentence, the empty one included
+        assert ngrams(["a", "b"], 0) == [(), (), ()]
+        assert ngrams([], 0) == [()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from("ab"), max_size=6),
+           st.lists(st.sampled_from("ab"), max_size=3))
+    def test_membership_is_containment(self, haystack, needle):
+        assert (tuple(needle) in ngrams(haystack, len(needle))) == contains_run(haystack, needle)
 
 
 class TestMatch:
@@ -92,7 +112,7 @@ class TestMatch:
         assert d.match(["a", "b"], ["x"]) == []
 
     def test_shared_prefix_patterns(self):
-        # patterns sharing prefixes exercise the fail links
+        # shorter terms nested inside a longer one match alongside it
         d = TermDictionary(
             [
                 TermEntry(("a", "a", "b"), ("x",), 0),
@@ -140,6 +160,7 @@ class TestMatch:
         entries = [TermEntry(tuple(s), tuple(t), i) for i, (s, t) in enumerate(raw_entries)]
         d = TermDictionary(entries)
         assert d.match(source, target) == brute_force_match(entries, source, target)
+        assert d.match_source_only(source) == brute_force_match(entries, source)
 
 
 class TestFiles:
