@@ -41,7 +41,9 @@ plain = strip_knowledge(example)
 print("\nstripped input: ", " ".join(plain.input_tokens))
 print("stripped output:", " ".join(plain.output_tokens))
 
-# over-long prompts shed whole blocks (template, then sentence, then
-# terms) from both sides at once; the sentence itself is never cut
-short = assemble(pair, bundle, max_input_len=10)
-print("\nat max_input_len=10:", " ".join(short.input_tokens))
+# an example over the model's positions sheds whole blocks (template,
+# then sentence, then terms) from both sides at once until both fit; the
+# sentence itself is never cut, and a bare pair that does not fit is an error
+short = assemble(pair, bundle, max_positions=10)
+print("\nat max_positions=10:", " ".join(short.input_tokens))
+print("                    ", " ".join(short.output_tokens))

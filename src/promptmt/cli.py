@@ -143,7 +143,7 @@ def cmd_build_dataset(args) -> int:
         bundles,
         include_target=not args.inference,
         bpe=bpe,
-        max_input_len=args.max_input_len,
+        max_positions=args.max_positions,
     )
     save_dataset(examples, args.out)
     print(f"wrote {len(examples)} examples -> {args.out}")
@@ -397,7 +397,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="threshold", type=float, default=0.4)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--bpe", help="apply this merge table to text (not markers)")
-    p.add_argument("--max-input-len", type=int, default=512)
+    p.add_argument("--max-positions", type=int, default=ModelConfig.max_positions,
+                   help="the model's position budget in units (default %(default)s); "
+                   "knowledge blocks are dropped until both sides fit")
     p.add_argument("--inference", action="store_true",
                    help="no reference targets: source-only term matching, empty outputs")
     p.add_argument("--out", required=True)

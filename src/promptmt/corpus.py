@@ -163,7 +163,6 @@ class BpeModel:
     """
 
     merges: tuple[tuple[str, str], ...]
-    marker: str = END_OF_WORD
 
     def __post_init__(self):
         if len(set(self.merges)) != len(self.merges):
@@ -242,8 +241,8 @@ def bpe_encode(model: BpeModel, token: str) -> list[str]:
         raise ValueError("cannot encode an empty token")
     if is_special(token):
         return [token]
-    symbols = list(token) + [model.marker]
-    marked = token + model.marker
+    symbols = list(token) + [END_OF_WORD]
+    marked = token + END_OF_WORD
     for pair in model.merges:
         # adjacent symbols always concatenate to a substring of the marked token
         if pair[0] + pair[1] not in marked:
@@ -251,9 +250,9 @@ def bpe_encode(model: BpeModel, token: str) -> list[str]:
         symbols = _merge_symbols(symbols, pair)
         if len(symbols) == 1:
             break
-    if symbols[-1] == model.marker:
+    if symbols[-1] == END_OF_WORD:
         symbols = symbols[:-1]
-        symbols[-1] += model.marker
+        symbols[-1] += END_OF_WORD
     return symbols
 
 
@@ -264,10 +263,7 @@ def bpe_decode(model: BpeModel, subwords) -> str:
         raise ValueError("cannot decode an empty subword sequence")
     if len(subwords) == 1 and is_special(subwords[0]):
         return subwords[0]
-    joined = "".join(subwords)
-    if joined.endswith(model.marker):
-        joined = joined[: -len(model.marker)]
-    return joined
+    return "".join(subwords).removesuffix(END_OF_WORD)
 
 
 def bpe_encode_sequence(model: BpeModel, tokens) -> list[str]:
@@ -292,8 +288,8 @@ def bpe_decode_sequence(model: BpeModel, units) -> list[str]:
                 tokens.append("".join(current))
                 current = []
             tokens.append(unit)
-        elif unit.endswith(model.marker):
-            current.append(unit[: -len(model.marker)])
+        elif unit.endswith(END_OF_WORD):
+            current.append(unit.removesuffix(END_OF_WORD))
             tokens.append("".join(current))
             current = []
         else:

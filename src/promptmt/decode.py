@@ -85,14 +85,12 @@ def beam_search(
     generated part, logprob / n_generated^length_penalty. Ties prefer the
     lower token id. A finished hypothesis ends with <eos>; search stops
     when no unfinished hypothesis can still beat the worst kept finished
-    one even with its best possible remaining score. Hypotheses still
-    open at the token limit compete with their scores as they stand.
+    one even with its best possible remaining score. At most
+    max_new_tokens are generated, fewer when the decoder's positions run
+    out first; hypotheses still open at that limit compete with their
+    scores as they stand. A prefix that leaves no position is a DataError.
     """
-    if len(prefix_ids) + cfg.max_new_tokens + 1 > config.max_positions:
-        raise DataError(
-            f"prefix {len(prefix_ids)} + max_new_tokens {cfg.max_new_tokens} "
-            f"exceeds max_positions {config.max_positions}"
-        )
+    limit = _new_token_limit(config, prefix_ids, cfg.max_new_tokens)
     enc_out = encode_source(params, config, src_ids, src_pad)
     state = DecoderState(params, config, enc_out, src_pad)
 
@@ -108,7 +106,7 @@ def beam_search(
     # the first step runs [bos] + prefix in one pass; each later step feeds
     # only the newest token of every live beam
     dec_in = np.array([[BOS_ID] + list(prefix_ids)], dtype=np.int64)
-    for _ in range(cfg.max_new_tokens):
+    for _ in range(limit):
         logits = decoder_step(params, config, state, dec_in)
         logp = log_softmax(logits[:, -1, :])
 
@@ -134,7 +132,7 @@ def beam_search(
             # a live logprob (<= 0) can only shrink, so its best final score
             # is at the maximum generated length
             best_possible = max(
-                _score(total, cfg.max_new_tokens, cfg.length_penalty)
+                _score(total, limit, cfg.length_penalty)
                 for _, total, _ in beams
             )
             worst_kept = _gen_score(finished[-1], prefix_ids, cfg)
@@ -150,6 +148,18 @@ def beam_search(
     return finished[0][0]
 
 
+def _new_token_limit(config: ModelConfig, prefix_ids, max_new_tokens: int) -> int:
+    # after <bos> and the prefix, the decoder is fed every generated token
+    # but the last
+    limit = min(max_new_tokens, config.max_positions - len(prefix_ids))
+    if limit < 1:
+        raise DataError(
+            f"prefix of {len(prefix_ids)} leaves no position to generate into "
+            f"within max_positions {config.max_positions}"
+        )
+    return limit
+
+
 def _gen_score(candidate, prefix_ids, cfg: BeamConfig) -> float:
     ids, total = candidate[:2]
     return _score(total, len(ids) - len(prefix_ids), cfg.length_penalty)
@@ -162,9 +172,10 @@ def greedy_decode(params, config, src_ids, src_pad, prefix_ids, max_new_tokens):
     keeps no state, so comparing it with beam_search checks the cached
     decoding against the uncached one.
     """
+    limit = _new_token_limit(config, prefix_ids, max_new_tokens)
     enc_out = encode_source(params, config, src_ids, src_pad)
     ids = list(prefix_ids)
-    for _ in range(max_new_tokens):
+    for _ in range(limit):
         dec_in = np.array([[BOS_ID] + ids], dtype=np.int64)
         logits = decoder_logits(params, config, enc_out, src_pad, dec_in)
         ids.append(int(np.argmax(logits[0, -1])))
@@ -202,11 +213,7 @@ def translate(
     if units and units[-1] == EOS:
         units = units[:-1]
     tokens = bpe_decode_sequence(bpe, units) if bpe is not None else units
-    stats = DecodeStats(
-        tokens_forced=len(prefix_ids),
-        tokens_generated=len(generated),
-    )
-    return tokens, stats
+    return tokens, DecodeStats(tokens_forced=len(prefix_ids), tokens_generated=len(generated))
 
 
 def batch_translate(

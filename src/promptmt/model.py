@@ -57,7 +57,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "n_enc_layers",
                      "n_dec_layers", "d_ff", "max_positions"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
@@ -128,35 +131,38 @@ def sinusoidal_positions(max_positions: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> dict:
-    """Seeded uniform init scaled by fan-in; gains 1, biases 0."""
-    rng = np.random.default_rng(seed)
-
-    def uniform(fan_in, shape):
-        limit = np.sqrt(3.0 / fan_in)
-        return rng.uniform(-limit, limit, size=shape)
-
+def param_shapes(config: ModelConfig) -> dict:
+    """{name: shape} of every parameter, in the order init_params draws them."""
     d, f = config.d_model, config.d_ff
-    params = {"embed": uniform(d, (config.vocab_size, d))}
-
+    shapes = {"embed": (config.vocab_size, d)}
     for side in ("enc", "dec"):
         for i in range(getattr(config, f"n_{side}_layers")):
             for j, (kind, name) in enumerate(LAYER_SUBLAYERS[side], 1):
                 prefix = f"{side}{i}.{name}"
                 if kind == "ff":
-                    params[f"{prefix}.w1"] = uniform(d, (d, f))
-                    params[f"{prefix}.b1"] = np.zeros(f)
-                    params[f"{prefix}.w2"] = uniform(f, (f, d))
-                    params[f"{prefix}.b2"] = np.zeros(d)
+                    shapes.update({f"{prefix}.w1": (d, f), f"{prefix}.b1": (f,),
+                                   f"{prefix}.w2": (f, d), f"{prefix}.b2": (d,)})
                 else:
-                    for w in ("wq", "wk", "wv", "wo"):
-                        params[f"{prefix}.{w}"] = uniform(d, (d, d))
+                    shapes.update({f"{prefix}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
                     # no key bias: softmax rows are invariant to it, so it
                     # would be a dead parameter with an identically zero gradient
-                    for bias in ("bq", "bv", "bo"):
-                        params[f"{prefix}.{bias}"] = np.zeros(d)
-                params[f"{side}{i}.ln{j}.g"] = np.ones(d)
-                params[f"{side}{i}.ln{j}.b"] = np.zeros(d)
+                    shapes.update({f"{prefix}.{bias}": (d,) for bias in ("bq", "bv", "bo")})
+                shapes[f"{side}{i}.ln{j}.g"] = (d,)
+                shapes[f"{side}{i}.ln{j}.b"] = (d,)
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int = 0) -> dict:
+    """Seeded uniform init of every matrix, scaled by fan-in (the model
+    width for the embedding); layer-norm gains 1, biases 0."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            limit = np.sqrt(3.0 / (shape[1] if name == "embed" else shape[0]))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return params
 
 
@@ -736,7 +742,7 @@ def _read_tensors(path: Path, data: bytes) -> dict:
 def load_checkpoint(path: str | Path):
     """Returns (params, ModelConfig, sidecar dict).
 
-    The tensors must be exactly those init_params builds for the sidecar's
+    The tensors must be exactly those param_shapes lists for the sidecar's
     config, with the same shapes. Any malformed, truncated or inconsistent
     file raises a DataError that names it.
     """
@@ -748,10 +754,10 @@ def load_checkpoint(path: str | Path):
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig.from_dict(sidecar["config"])
-        want = {k: v.shape for k, v in init_params(config).items()}
+        want = param_shapes(config)
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and bad
-        # sizes; TypeError a size that is no integer, such as 1e3
+        # sizes, such as 0 or 1e3; TypeError a missing or unknown field
         raise DataError(f"{sidecar_path}: bad checkpoint sidecar: {exc!r}") from exc
     have = {k: v.shape for k, v in params.items()}
     if have != want:

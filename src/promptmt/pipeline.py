@@ -29,8 +29,8 @@ from .model import (
     train,
 )
 from .decode import BeamConfig, batch_translate, write_translations
-from .prompt import EMPTY_BUNDLE, KnowledgeBundle, build_dataset, save_dataset
-from .retrieval import TmIndex, save_tm
+from .prompt import KnowledgeBundle, build_dataset, save_dataset, strip_knowledge
+from .retrieval import TmIndex, check_threshold, save_tm
 from .synth import SynthConfig, generate
 from .terminology import save_dictionary
 
@@ -53,7 +53,6 @@ class RunConfig:
     knowledge: tuple = KNOWLEDGE_KINDS
     threshold: float = 0.4
     bpe_merges: int = 300
-    max_input_len: int = 512
 
     d_model: int = 48
     n_heads: int = 4
@@ -84,6 +83,9 @@ class RunConfig:
         bad = [k for k in self.knowledge if k not in KNOWLEDGE_KINDS]
         if bad:
             raise ValueError(f"unknown knowledge kinds {bad}, pick from {KNOWLEDGE_KINDS}")
+        if self.bpe_merges < 0:
+            raise ValueError(f"bpe_merges must be >= 0, got {self.bpe_merges}")
+        check_threshold(self.threshold)
         # the configs the run builds check their own values; building them
         # here, the vocabulary size a placeholder, rejects a bad value
         # before anything is written
@@ -190,68 +192,43 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     vocab.save(work / "vocab.txt")
     say(f"bpe: {len(bpe.merges)} merges, vocabulary {len(vocab)}")
 
-    model_cfg = cfg.model_config(len(vocab))
-    params = init_params(model_cfg, seed=cfg.seed + 1)
-
-    plain_train = build_dataset(
-        train_pairs, [EMPTY_BUNDLE] * len(train_pairs), bpe=bpe, max_input_len=cfg.max_input_len
-    )
-    plain_val = build_dataset(
-        val_pairs, [EMPTY_BUNDLE] * len(val_pairs), bpe=bpe, max_input_len=cfg.max_input_len
-    )
-    say(f"stage 1: plain parallel data, {cfg.stage1_epochs} epochs")
-    result = train(
-        params,
-        model_cfg,
-        plain_train,
-        plain_val,
-        cfg.train_config(cfg.stage1_epochs, cfg.seed + 2),
-        vocab,
-        log=log,
-    )
-
-    # retrieval pool for training-time prompts is the whole parallel
-    # corpus; a pair's own perfect match is ignored by the index
+    # every dataset is assembled against the model's positions before any
+    # training, so a pair that cannot fit stops the run before it starts;
+    # the retrieval pool for training-time prompts is the whole parallel
+    # corpus, and a pair's own perfect match is ignored by the index
     train_tm = TmIndex.from_pairs(all_train)
     bundles = build_bundles(train_pairs, dictionary, train_tm, cfg)
     val_bundles = build_bundles(val_pairs, dictionary, train_tm, cfg)
+    test_bundles = build_bundles(test, dictionary, TmIndex(tm_entries), cfg)
     n_hits = sum(1 for b in bundles + val_bundles if b.similar is not None)
     say(f"knowledge: {n_hits}/{len(bundles) + len(val_bundles)} pairs "
         f"with a fuzzy match above {cfg.threshold}")
-    prompted_train = build_dataset(
-        train_pairs, bundles, bpe=bpe, max_input_len=cfg.max_input_len
-    )
-    prompted_val = build_dataset(
-        val_pairs, val_bundles, bpe=bpe, max_input_len=cfg.max_input_len
+    options = dict(bpe=bpe, max_positions=cfg.max_positions)
+    prompted_train = build_dataset(train_pairs, bundles, **options)
+    prompted_val = build_dataset(val_pairs, val_bundles, **options)
+    prompted_test = build_dataset(test, test_bundles, include_target=False, **options)
+    plain_train, plain_val, plain_test = (
+        [strip_knowledge(ex) for ex in examples]
+        for examples in (prompted_train, prompted_val, prompted_test)
     )
     save_dataset(prompted_train, work / "train.prompted.jsonl")
+    save_dataset(prompted_test, work / "test.prompted.jsonl")
+    save_dataset(plain_test, work / "test.plain.jsonl")
+
+    model_cfg = cfg.model_config(len(vocab))
+    params = init_params(model_cfg, seed=cfg.seed + 1)
+    say(f"stage 1: plain parallel data, {cfg.stage1_epochs} epochs")
+    result = train(params, model_cfg, plain_train, plain_val,
+                   cfg.train_config(cfg.stage1_epochs, cfg.seed + 2), vocab, log=log)
+
     stage2_train = prompted_train + plain_train if cfg.mix_plain else prompted_train
     stage2_val = prompted_val + plain_val if cfg.mix_plain else prompted_val
     say(f"stage 2: {len(stage2_train)} prompted examples, {cfg.stage2_epochs} epochs")
-    result = train(
-        result.params,
-        model_cfg,
-        stage2_train,
-        stage2_val,
-        cfg.train_config(cfg.stage2_epochs, cfg.seed + 3),
-        vocab,
-        log=log,
-    )
+    result = train(result.params, model_cfg, stage2_train, stage2_val,
+                   cfg.train_config(cfg.stage2_epochs, cfg.seed + 3), vocab, log=log)
 
     save_checkpoint(work / "model.ckpt", result.params, model_cfg, vocab)
     params, model_cfg, _ = load_checkpoint(work / "model.ckpt")
-
-    test_tm = TmIndex(tm_entries)
-    test_bundles = build_bundles(test, dictionary, test_tm, cfg)
-    prompted_test = build_dataset(
-        test, test_bundles, include_target=False, bpe=bpe, max_input_len=cfg.max_input_len
-    )
-    plain_test = build_dataset(
-        test, [EMPTY_BUNDLE] * len(test), include_target=False, bpe=bpe,
-        max_input_len=cfg.max_input_len,
-    )
-    save_dataset(prompted_test, work / "test.prompted.jsonl")
-    save_dataset(plain_test, work / "test.plain.jsonl")
 
     beam = cfg.beam_config()
     say(f"decoding {len(test)} sentences, beam {beam.beam_size}")

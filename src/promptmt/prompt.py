@@ -99,37 +99,48 @@ def assemble(
     *,
     include_target: bool = True,
     bpe=None,
-    max_input_len: int = 512,
+    max_positions: int | None = None,
 ) -> PromptedExample:
     """Build one example; blocks appear in the order Sentence, Term, Template.
 
     With include_target False (inference data) the output stops at [Output]
     and the mask is empty of ones. When bpe is given, both sides are
-    subword-encoded after assembly (special tokens pass through whole) and
-    max_input_len counts subword units. An over-long input drops whole
-    knowledge blocks, template first, then sentence, then terms, from both
-    sides so the prompt stays aligned; the bare sentence is never truncated.
+    subword-encoded after assembly (special tokens pass through whole).
+    max_positions (None: no limit) is the model's position budget, counted
+    in subword units: the input and a training output must fit in it, and
+    an inference output must leave one position to generate into. An
+    example over it drops whole knowledge blocks, template first, then
+    sentence, then terms, from both sides so the prompt stays aligned; a
+    bare sentence pair still over it is a DataError.
     """
-    if max_input_len < 1:
-        raise ValueError(f"max_input_len must be >= 1, got {max_input_len}")
+    if max_positions is not None and max_positions < 1:
+        raise ValueError(f"max_positions must be >= 1, got {max_positions}")
 
     trimmed = bundle
     while True:
-        input_tokens = _blocks(trimmed, 0) + [INPUT] + list(pair.source)
-        input_units = _encode_side(input_tokens, bpe)
-        if len(input_units) <= max_input_len or trimmed.is_empty:
+        input_units = _encode_side(_blocks(trimmed, 0) + [INPUT] + list(pair.source), bpe)
+        output_tokens = _blocks(trimmed, 1) + [OUTPUT]
+        if include_target:
+            output_tokens += list(pair.target) + [EOS]
+        output_units = _encode_side(output_tokens, bpe)
+        if max_positions is None or (
+            len(input_units) <= max_positions
+            # an inference output is a decoder prefix, which must leave a
+            # position to generate into
+            and len(output_units) <= max_positions - (not include_target)
+        ):
             break
+        if trimmed.is_empty:
+            raise DataError(
+                f"pair {pair.id}: {len(input_units)} input and {len(output_units)} output "
+                f"units do not fit max_positions {max_positions} even without knowledge"
+            )
         if trimmed.template is not None:
             trimmed = replace(trimmed, template=None)
         elif trimmed.similar is not None:
             trimmed = replace(trimmed, similar=None)
         else:
             trimmed = replace(trimmed, terms=())
-
-    output_tokens = _blocks(trimmed, 1) + [OUTPUT]
-    if include_target:
-        output_tokens += list(pair.target) + [EOS]
-    output_units = _encode_side(output_tokens, bpe)
 
     cut = output_units.index(OUTPUT)
     mask = (0,) * (cut + 1) + (1,) * (len(output_units) - cut - 1)
@@ -146,12 +157,7 @@ def strip_knowledge(example: PromptedExample) -> PromptedExample:
     input_tokens = example.input_tokens[example.input_tokens.index(INPUT) :]
     output_tokens = example.output_tokens[example.output_tokens.index(OUTPUT) :]
     mask = example.loss_mask[len(example.loss_mask) - len(output_tokens) :]
-    return PromptedExample(
-        id=example.id,
-        input_tokens=input_tokens,
-        output_tokens=output_tokens,
-        loss_mask=mask,
-    )
+    return PromptedExample(example.id, input_tokens, output_tokens, mask)
 
 
 def save_dataset(examples, path: str | Path) -> None:
@@ -182,22 +188,9 @@ def load_dataset(path: str | Path) -> list:
     )
 
 
-def build_dataset(
-    pairs,
-    bundles,
-    *,
-    include_target: bool = True,
-    bpe=None,
-    max_input_len: int = 512,
-) -> list:
-    """Assemble aligned pairs and bundles into a dataset."""
+def build_dataset(pairs, bundles, **options) -> list:
+    """Assemble aligned pairs and bundles into a dataset; options are
+    assemble's keywords."""
     if len(pairs) != len(bundles):
-        raise DataError(
-            f"{len(pairs)} pairs but {len(bundles)} knowledge bundles"
-        )
-    return [
-        assemble(
-            p, b, include_target=include_target, bpe=bpe, max_input_len=max_input_len
-        )
-        for p, b in zip(pairs, bundles)
-    ]
+        raise DataError(f"{len(pairs)} pairs but {len(bundles)} knowledge bundles")
+    return [assemble(p, b, **options) for p, b in zip(pairs, bundles)]

@@ -46,6 +46,11 @@ def similarity(a, b) -> float:
     return 1.0 - token_edit_distance(a, b) / longest
 
 
+def check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class RetrievalHit:
     """Best translation-memory match for one query."""
@@ -127,8 +132,7 @@ class TmIndex:
         lowest entry id.
         """
         query = tuple(query)
-        if not 0.0 <= threshold < 1.0:
-            raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+        check_threshold(threshold)
         q_len = len(query)
         # unseen tokens can never match an entry token
         query_ids = np.array(

@@ -256,6 +256,20 @@ class TestBuildDataset:
         assert f"{trees}: line 2: the tree yields 'the cat sat on the mat'" in r.stderr
         assert not (parsed / "out.jsonl").exists()
 
+    def test_max_positions_drops_blocks_then_names_the_pair(self, parsed):
+        # with its template the first pair's output is 11 units, without it 8
+        argv = ["build-dataset", "--src", parsed / "src.txt", "--tgt", parsed / "tgt.txt",
+                "--trees", parsed / "trees.txt", "--depth", 1]
+        out = parsed / "train.jsonl"
+        r = run_cli(*argv, "--max-positions", 10, "--out", out)
+        assert r.returncode == 0, r.stderr
+        first, _ = load_dataset(out)
+        assert list(first.output_tokens) == ["[Output]", *ASSIS, "<eos>"]
+        r = run_cli(*argv, "--max-positions", 7, "--out", parsed / "short.jsonl")
+        assert r.returncode == 2, r.stderr
+        assert "pair 0: " in r.stderr and "max_positions 7" in r.stderr
+        assert not (parsed / "short.jsonl").exists()
+
     @pytest.mark.parametrize("inference", [False, True])
     def test_writes_the_pipeline_bundles(self, task_dir, tmp_path, inference):
         out = tmp_path / "cli.jsonl"
@@ -507,7 +521,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--d-model", 50), ("--n-heads", 0), ("--beam-size", 0), ("--dropout", 1.0),
-        ("--batch-size", 0),
+        ("--batch-size", 0), ("--bpe-merges", -1), ("--threshold", 1.5),
     ])
     def test_invalid_pipeline_value_is_one_before_any_work(self, tmp_path, flag, value):
         run = tmp_path / "run"
@@ -515,6 +529,18 @@ class TestExitCodes:
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error: ")
         assert not run.exists()
+
+    def test_max_input_len_is_gone(self, tmp_path):
+        # max_positions is the one length limit
+        for argv in (["pipeline", "--work", tmp_path / "run"],
+                     ["build-dataset", "--src", "s", "--tgt", "t", "--out", "o"]):
+            r = run_cli(*argv, "--max-input-len", 512)
+            assert r.returncode == 1
+            assert "unrecognized arguments: --max-input-len" in r.stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_input_len = 512\n")
+        with pytest.raises(DataError, match="unknown key 'max_input_len'"):
+            load_config_file(cfg)
 
     def test_help_is_zero(self):
         assert run_cli("--help").returncode == 0
@@ -639,6 +665,27 @@ class TestPipelineCommand:
         assert b.returncode == 0, b.stderr
         assert self.reports(a.stdout) == self.reports(b.stdout)
         assert {"prompted", "unprompted", "stats"} <= set(json.loads(a.stdout))
+
+    def test_every_dataset_fits_max_positions(self, tmp_path):
+        """A budget too small for the knowledge blocks drops them while the
+        datasets are built, so training and decoding never meet an example
+        over it."""
+        work = tmp_path / "run"
+        r = run_cli("pipeline", "--work", work, "--max-positions", 12,
+                    "--synth-len-max", 8, "--synth-n-train", 40, "--synth-n-test", 4,
+                    "--stage1-epochs", 2, "--stage2-epochs", 1,
+                    "--d-model", 8, "--d-ff", 8, "--n-heads", 2)
+        assert r.returncode == 0, r.stderr
+        train_set = load_dataset(work / "train.prompted.jsonl")
+        test_set = load_dataset(work / "test.prompted.jsonl")
+        assert all(len(ex.input_tokens) <= 12 and len(ex.output_tokens) <= 12
+                   for ex in train_set)
+        # an inference prefix leaves a position to generate into
+        assert all(len(ex.input_tokens) <= 12 and len(ex.output_tokens) <= 11
+                   for ex in test_set)
+        # blocks are dropped only where they do not fit
+        assert any(len(ex.input_tokens) > ex.input_tokens.index("[Input]") + 1
+                   for ex in train_set)
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

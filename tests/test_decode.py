@@ -155,12 +155,30 @@ class TestBeamSearch:
             # no <eos> comes, so the decoder is fed up to the last position
             assert len(full) == cfg.max_positions - 1
 
+    def test_generation_stops_at_a_full_decoder(self):
+        cfg, params = tiny_model(5)
+        rng = np.random.default_rng(5)
+        src, pad = random_source(rng, cfg.vocab_size)
+        for left in (1, 4):
+            prefix = [9] * (cfg.max_positions - left)
+            for width in (1, 4):
+                full = beam_search(
+                    params, cfg, src, pad, prefix, BeamConfig(beam_size=width, max_new_tokens=10)
+                )
+                assert full[: len(prefix)] == prefix
+                assert 1 <= len(full) - len(prefix) <= left
+                if width == 1:
+                    assert full == greedy_decode(params, cfg, src, pad, prefix, 10)
+
     def test_prefix_longer_than_positions_rejected(self):
         cfg, params = tiny_model(5)
         src = np.array([[9]], dtype=np.int64)
         pad = np.ones_like(src, dtype=np.float64)
+        prefix = [8] * cfg.max_positions
         with pytest.raises(DataError, match="max_positions"):
-            beam_search(params, cfg, src, pad, [8] * 60, BeamConfig(max_new_tokens=10))
+            beam_search(params, cfg, src, pad, prefix, BeamConfig(max_new_tokens=10))
+        with pytest.raises(DataError, match="max_positions"):
+            greedy_decode(params, cfg, src, pad, prefix, 10)
 
 
 class TestBeamConfig:

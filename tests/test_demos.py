@@ -1,5 +1,5 @@
-"""Every script in demos/ and the README's Python example run to
-completion against the package source.
+"""Every script in demos/, the README's Python example and its manual
+pipeline run to completion against the package source.
 
 The demos import the public API by name, so a rename or a changed
 signature shows up here as a failed run.
@@ -7,6 +7,7 @@ signature shows up here as a failed run.
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,21 @@ def test_readme_example_prints_what_it_shows(tmp_path):
     assert r.returncode == 0, r.stderr
     assert shown and r.stdout.splitlines() == shown
     assert [name for name in promptmt.__all__ if not hasattr(promptmt, name)] == []
+
+
+def test_readme_shell_pipeline_runs(tmp_path):
+    """The README's manual pipeline runs as written, each `promptmt` call
+    made through `python -m promptmt.cli`, and evaluates every test
+    sentence."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                if b.startswith("promptmt synth")]
+    python = shlex.quote(sys.executable)
+    script = re.sub(r"^promptmt ", f"{python} -m promptmt.cli ", block, flags=re.M)
+    script = re.sub(r"^python3 ", f"{python} ", script, flags=re.M)
+    r = subprocess.run(["bash", "-ec", script], capture_output=True, text=True,
+                       cwd=tmp_path, env=ENV, timeout=600)
+    assert r.returncode == 0, r.stderr
+    n_test = len((tmp_path / "data" / "test.tgt").read_text(encoding="utf-8").splitlines())
+    assert len((tmp_path / "hyp.txt").read_text(encoding="utf-8").splitlines()) == n_test
+    assert '"bleu"' in r.stdout

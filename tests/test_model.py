@@ -28,6 +28,7 @@ from promptmt.model import (
     loss,
     loss_and_gradients,
     make_batch,
+    param_shapes,
     save_checkpoint,
     softmax,
     train,
@@ -71,6 +72,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             ModelConfig(**{"vocab_size": 10, name: 0})
 
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError, match="vocab_size must be an integer, got 1000.0"):
+            ModelConfig(vocab_size=1e3)
+
     def test_dropout_range(self):
         with pytest.raises(ValueError, match="dropout"):
             tiny_config(dropout=1.0)
@@ -78,6 +83,39 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestInit:
+    def test_matrices_drawn_in_layer_order(self):
+        """The matrices come from one generator in a fixed order, each
+        uniform in +-sqrt(3 / fan-in); vectors are gains 1 and biases 0."""
+        cfg = tiny_config(d_ff=12)
+        params = init_params(cfg, seed=4)
+        attn = ("wq", "wk", "wv", "wo")
+        matrices = (
+            ["embed"] + [f"enc0.attn.{w}" for w in attn] + ["enc0.ff.w1", "enc0.ff.w2"]
+            + [f"dec0.{name}.{w}" for name in ("self", "cross") for w in attn]
+            + ["dec0.ff.w1", "dec0.ff.w2"]
+        )
+        rng = np.random.default_rng(4)
+        for name in matrices:
+            limit = np.sqrt(3.0 / (cfg.d_ff if name.endswith("ff.w2") else cfg.d_model))
+            want = rng.uniform(-limit, limit, size=params[name].shape)
+            assert params[name].tobytes() == want.tobytes(), name
+        for name, value in params.items():
+            if name not in matrices:
+                assert value.ndim == 1 and np.all(value == name.endswith(".g")), name
+        # three biases per attention, two per feed-forward, a gain and a
+        # bias per sublayer
+        assert len(params) == len(matrices) + 3 * 3 + 2 * 2 + 2 * 5
+
+    def test_shape_table_lists_every_parameter(self):
+        cfg = tiny_config(n_enc_layers=2, d_ff=12)
+        params = init_params(cfg, seed=0)
+        assert param_shapes(cfg) == {name: value.shape for name, value in params.items()}
+        assert list(param_shapes(cfg)) == list(params)
+        assert param_shapes(cfg)["embed"] == (cfg.vocab_size, cfg.d_model)
+        assert param_shapes(cfg)["enc1.ff.w2"] == (12, cfg.d_model)
 
 
 class TestForward:

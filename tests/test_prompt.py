@@ -91,21 +91,63 @@ class TestAssemble:
         assert sum(ex.loss_mask) == sum(len(t) for t in PAIR.target) + 1
 
     def test_overlong_input_drops_template_first(self):
-        ex = assemble(PAIR, FULL_BUNDLE, max_input_len=13)
+        # input 15 and output 16 units with every block, 12 and 13 without
+        # the template
+        ex = assemble(PAIR, FULL_BUNDLE, max_positions=13)
         assert "[Template]" not in ex.input_tokens
         assert "[Sentence]" in ex.input_tokens
         assert "[Template]" not in ex.output_tokens
 
     def test_then_sentence_then_terms(self):
-        ex = assemble(PAIR, FULL_BUNDLE, max_input_len=9)
+        ex = assemble(PAIR, FULL_BUNDLE, max_positions=9)
         assert "[Sentence]" not in ex.input_tokens
         assert "[Term]" in ex.input_tokens
-        ex = assemble(PAIR, FULL_BUNDLE, max_input_len=4)
+        ex = assemble(PAIR, FULL_BUNDLE, max_positions=5)
         assert ex.input_tokens == ("[Input]", "the", "cat", "sat")
+        assert ex == assemble(PAIR, EMPTY_BUNDLE)
+
+    def test_overlong_output_alone_drops_blocks(self):
+        # the input is 6 units, the output 10
+        long_term = KnowledgeBundle(terms=((("cat",), ("die", "Katze", "Tier", "x")),))
+        assert assemble(PAIR, long_term, max_positions=10) == assemble(PAIR, long_term)
+        assert assemble(PAIR, long_term, max_positions=9) == assemble(PAIR, EMPTY_BUNDLE)
+
+    def test_inference_prefix_leaves_a_position(self):
+        # the inference output is the 6-unit prefix up to [Output]
+        long_term = KnowledgeBundle(terms=((("cat",), ("die", "Katze", "Tier", "x")),))
+        kept = assemble(PAIR, long_term, include_target=False, max_positions=7)
+        assert kept == assemble(PAIR, long_term, include_target=False)
+        dropped = assemble(PAIR, long_term, include_target=False, max_positions=6)
+        assert dropped.output_tokens == ("[Output]",)
+
+    @pytest.mark.parametrize("include_target", [True, False])
+    def test_every_limit_fits_or_names_the_pair(self, include_target):
+        bare = assemble(PAIR, EMPTY_BUNDLE, include_target=include_target)
+        for limit in range(1, 18):
+            if max(len(bare.input_tokens), len(bare.output_tokens) + (not include_target)) > limit:
+                with pytest.raises(DataError, match="pair 0"):
+                    assemble(PAIR, FULL_BUNDLE, include_target=include_target,
+                             max_positions=limit)
+                continue
+            ex = assemble(PAIR, FULL_BUNDLE, include_target=include_target, max_positions=limit)
+            assert len(ex.input_tokens) <= limit
+            assert len(ex.output_tokens) + (not include_target) <= limit
 
     def test_bare_sentence_never_truncated(self):
-        ex = assemble(PAIR, EMPTY_BUNDLE, max_input_len=2)
-        assert ex.input_tokens == ("[Input]", "the", "cat", "sat")
+        # a bare pair over the limit is an error, not a cut sentence
+        with pytest.raises(DataError, match="pair 0: .* max_positions 4"):
+            assemble(PAIR, EMPTY_BUNDLE, max_positions=4)
+        with pytest.raises(ValueError, match="max_positions"):
+            assemble(PAIR, EMPTY_BUNDLE, max_positions=0)
+
+    def test_limit_counts_subword_units(self):
+        bpe = train_bpe([list(PAIR.source), list(PAIR.target)], num_merges=0)
+        bare = assemble(PAIR, EMPTY_BUNDLE, bpe=bpe)
+        # zero merges: "die Katze sass" is 3 + 5 + 4 units, plus [Output] and <eos>
+        assert len(bare.output_tokens) == 14
+        assert assemble(PAIR, FULL_BUNDLE, bpe=bpe, max_positions=14) == bare
+        with pytest.raises(DataError, match="pair 0"):
+            assemble(PAIR, FULL_BUNDLE, bpe=bpe, max_positions=13)
 
 
 class TestSplitOutput:
