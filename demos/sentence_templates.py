@@ -7,7 +7,7 @@ at a fixed depth: a coarse sketch of sentence structure that a prompt
 can ask the model to follow.
 """
 
-from promptmt import SentencePair, build_template_dataset, extract_template, parse_ptb
+from promptmt import KnowledgeBundle, SentencePair, assemble, extract_template, parse_ptb
 
 tree = parse_ptb(
     "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NP (DT the) (NN mat)))))"
@@ -20,17 +20,10 @@ print("height:", tree.height())
 for depth in [1, 2, 3, 4]:
     print(f"depth {depth}:", " ".join(extract_template(tree, depth)))
 
-# a template predictor trains on (source ++ [Template] ++ source template,
-# target template) rows, so a known source parse conditions the target one
+# a template reaches the model as a [Template] block, the same labels on
+# both sides, which is how build-dataset --trees builds it
 pair = SentencePair("the cat sat".split(), "die katze sass".split(), id=0)
-src_tree = parse_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-tgt_tree = parse_ptb("(S (NP (DT die) (NN katze)) (VP (VBD sass)))")
-rows = build_template_dataset([pair], [src_tree], [tgt_tree], depth=1)
-inp, out = rows[0]
-print("predictor input: ", " ".join(inp))
-print("predictor output:", " ".join(out))
-
-# sentences without a parse still produce a usable row
-rows = build_template_dataset([pair], [None], [tgt_tree], depth=1)
-inp, out = rows[0]
-print("unparsed source: ", " ".join(inp), "->", " ".join(out))
+labels = tuple(extract_template(parse_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))"), 1))
+example = assemble(pair, KnowledgeBundle(template=(labels, labels)))
+print("input: ", " ".join(example.input_tokens))
+print("output:", " ".join(example.output_tokens))

@@ -30,7 +30,7 @@ from .pipeline import RunConfig, run_pipeline
 from .prompt import KnowledgeBundle, assemble, strip_knowledge
 from .retrieval import TmIndex, similarity
 from .synth import SynthConfig
-from .template import build_template_dataset, extract_template, parse_ptb
+from .template import extract_template, parse_ptb
 from .terminology import TermDictionary, TermEntry
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "beam_search",
     "bpe_decode_sequence",
     "bpe_encode_sequence",
-    "build_template_dataset",
     "decoder_logits",
     "extract_template",
     "greedy_decode",

@@ -37,9 +37,9 @@ from .model import (
 )
 from .pipeline import RunConfig, _split_train_val, build_bundles, config_from, run_pipeline
 from .prompt import build_dataset, load_dataset, save_dataset, strip_knowledge
-from .retrieval import TmIndex, hit_record, load_tm, save_hits, save_tm
+from .retrieval import hit_record, load_tm, save_hits, save_tm
 from .synth import SynthConfig, generate
-from .template import build_templates, check_yield, load_trees
+from .template import DEFAULT_DEPTH, build_templates, check_yield, load_trees
 from .terminology import load_dictionary, load_matches, save_dictionary, save_matches
 
 
@@ -74,10 +74,9 @@ def cmd_build_tm(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    pairs = load_parallel(args.tm_src, args.tm_tgt)
-    index = TmIndex.from_pairs(pairs)
+    index = load_tm(args.tm)
     queries = load_tokenized(args.query)
-    hits = index.retrieve_all(queries, args.threshold)
+    hits = [index.retrieve_best(q, args.threshold) for q in queries]
     if args.out:
         save_hits(hits, args.out)
     else:
@@ -209,6 +208,12 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = load_tokenized(args.hyp)
     refs = load_tokenized(args.ref)
+    if len(hyps) != len(refs):
+        raise DataError(
+            f"{args.hyp}: {len(hyps)} hypotheses but {args.ref}: {len(refs)} references"
+        )
+    if not hyps:
+        raise DataError(f"{args.hyp}, {args.ref}: no sentences to score")
     term_sets = None
     if args.terms:
         matches = load_matches(args.terms)
@@ -356,7 +361,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bpe-train", help="learn a BPE merge table from tokenized text")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE",
                    help="tokenized text files, one sentence per line")
-    p.add_argument("--merges", type=int, default=300)
+    p.add_argument("--merges", type=int, default=RunConfig.bpe_merges)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bpe_train)
 
@@ -367,11 +372,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_tm)
 
     p = sub.add_parser("retrieve", help="fuzzy-match queries against a translation memory")
-    p.add_argument("--tm-src", required=True, help="TM source side, tokenized text")
-    p.add_argument("--tm-tgt", required=True, help="TM target side, tokenized text")
+    p.add_argument("--tm", required=True, help="translation memory JSONL")
     p.add_argument("--query", required=True, help="query sentences, tokenized text")
-    p.add_argument("--lambda", dest="threshold", type=float, default=0.4,
-                   help="similarity threshold (default 0.4)")
+    p.add_argument("--lambda", dest="threshold", type=float, default=RunConfig.threshold,
+                   help="similarity threshold (default %(default)s)")
     p.add_argument("--out", help="write JSONL hits here instead of stdout")
     p.set_defaults(func=cmd_retrieve)
 
@@ -384,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract-templates", help="truncate parse trees to template label sequences")
     p.add_argument("--trees", required=True, help="parse trees, one per line")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract_templates)
 
@@ -394,8 +398,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dict", help="terminology JSONL for [Term] blocks")
     p.add_argument("--tm", help="translation memory JSONL for [Sentence] blocks")
     p.add_argument("--trees", help="parse trees for [Template] blocks, aligned with --src")
-    p.add_argument("--lambda", dest="threshold", type=float, default=0.4)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--lambda", dest="threshold", type=float, default=RunConfig.threshold)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--bpe", help="apply this merge table to text (not markers)")
     p.add_argument("--max-positions", type=int, default=ModelConfig.max_positions,
                    help="the model's position budget in units (default %(default)s); "

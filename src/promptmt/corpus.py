@@ -116,9 +116,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._token_of)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._id_of
-
     def id_of(self, token: str) -> int:
         return self._id_of.get(token, self._id_of[UNK])
 
@@ -254,16 +251,6 @@ def bpe_encode(model: BpeModel, token: str) -> list[str]:
         symbols = symbols[:-1]
         symbols[-1] += END_OF_WORD
     return symbols
-
-
-def bpe_decode(model: BpeModel, subwords) -> str:
-    """Reassemble the subword units of a single token."""
-    subwords = list(subwords)
-    if not subwords:
-        raise ValueError("cannot decode an empty subword sequence")
-    if len(subwords) == 1 and is_special(subwords[0]):
-        return subwords[0]
-    return "".join(subwords).removesuffix(END_OF_WORD)
 
 
 def bpe_encode_sequence(model: BpeModel, tokens) -> list[str]:

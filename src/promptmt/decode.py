@@ -194,22 +194,18 @@ def translate(
 ):
     """Translate one prompted example; returns (tokens, DecodeStats).
 
-    The example's output side is the decoder prefix; [Output] is appended
-    when missing. Returned tokens exclude the prefix, [Output], and <eos>,
-    and are whole tokens again when a BPE model is given.
+    The example's output side up to its [Output] is the decoder prefix.
+    Returned tokens exclude the prefix, [Output], and <eos>, and are whole
+    tokens again when a BPE model is given.
     """
-    prefix = list(example.output_tokens)
-    if OUTPUT not in prefix:
-        prefix.append(OUTPUT)
-    else:
-        prefix = prefix[: prefix.index(OUTPUT) + 1]
+    prefix = example.output_tokens[: example.output_tokens.index(OUTPUT) + 1]
     src_ids = np.array([vocab.encode(example.input_tokens)], dtype=np.int64)
     src_pad = np.ones_like(src_ids, dtype=np.float64)
     prefix_ids = vocab.encode(prefix)
 
     full = beam_search(params, config, src_ids, src_pad, prefix_ids, cfg)
     generated = full[len(prefix_ids) :]
-    units = [vocab.token_of(i) for i in generated]
+    units = vocab.decode(generated)
     if units and units[-1] == EOS:
         units = units[:-1]
     tokens = bpe_decode_sequence(bpe, units) if bpe is not None else units

@@ -63,13 +63,6 @@ def tokens(value) -> tuple:
     return tuple(value)
 
 
-def number(value) -> float:
-    """A numeric field of a record (scores); bools and strings are not numbers."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DataError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def integer(value) -> int:
     """An integer field of a record (ids, mask bits); bools are not integers."""
     if not isinstance(value, int) or isinstance(value, bool):

@@ -13,7 +13,6 @@ occurs contiguously in the hypothesis; every expected term counts once.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -135,11 +134,3 @@ def load_tokenized(path) -> list:
 
 def save_report(report: EvalReport, path) -> None:
     write_json(path, report.to_dict())
-
-
-def load_report(path) -> EvalReport:
-    try:
-        return EvalReport(**json.loads(read_text(path)))
-    except (TypeError, ValueError) as exc:
-        # ValueError covers JSONDecodeError
-        raise DataError(f"{path}: not an evaluation report: {exc}") from None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, integer, number, read_jsonl, tokens, write_jsonl
+from .errors import DataError, integer, read_jsonl, tokens, write_jsonl
 
 
 def token_edit_distance(a, b) -> int:
@@ -167,9 +167,6 @@ class TmIndex:
         _, src, tgt = self._entries[best_pos]
         return RetrievalHit(id=best_id, score=float(best_score), src=src, tgt=tgt)
 
-    def retrieve_all(self, queries, threshold: float) -> list:
-        return [self.retrieve_best(q, threshold) for q in queries]
-
 
 def save_tm(entries, path: str | Path) -> None:
     """Write a translation memory as JSONL {"id", "src", "tgt"} records."""
@@ -200,18 +197,3 @@ def hit_record(hit: RetrievalHit | None):
 def save_hits(hits, path: str | Path) -> None:
     """Write retrieval results as JSONL, the literal null for misses."""
     write_jsonl(path, map(hit_record, hits))
-
-
-def _hit(rec, _):
-    if rec is None:
-        return None
-    return RetrievalHit(
-        id=integer(rec["id"]),
-        score=number(rec["score"]),
-        src=tokens(rec["src"]),
-        tgt=tokens(rec["tgt"]),
-    )
-
-
-def load_hits(path: str | Path) -> list:
-    return read_jsonl(path, "hit", _hit)

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import TEMPLATE
 from .errors import DataError, read_text
+
+# the cut depth of extract-templates and build-dataset --trees
+DEFAULT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def parse_ptb(text: str) -> ParseTree:
     return tree
 
 
-def extract_template(tree: ParseTree, depth: int = 4) -> list[str]:
+def extract_template(tree: ParseTree, depth: int = DEFAULT_DEPTH) -> list[str]:
     """Template tokens from pruning the tree at the given depth.
 
     The root sits at depth 0. A node shallower than the cut recurses into
@@ -142,7 +144,7 @@ def load_trees(path: str | Path) -> list:
     return trees
 
 
-def build_templates(trees, depth: int = 4) -> list:
+def build_templates(trees, depth: int = DEFAULT_DEPTH) -> list:
     """Template token list per tree, None where there is no tree."""
     return [None if t is None else extract_template(t, depth) for t in trees]
 
@@ -155,29 +157,3 @@ def check_yield(tree, sentence, where: str) -> None:
             f"{where}: the tree yields {' '.join(tree.words())!r}, "
             f"not the sentence {' '.join(sentence)!r}"
         )
-
-
-def build_template_dataset(pairs, src_trees, tgt_trees, depth: int = 4) -> list:
-    """Training rows for a template predictor.
-
-    Each row is (source tokens ++ [Template] ++ source template, target
-    template). Trees align 1:1 with the pairs and must yield exactly
-    their sentence. A None tree stands for a sentence without a parse:
-    its side contributes an empty template and the source [Template]
-    block is dropped.
-    """
-    if not len(pairs) == len(src_trees) == len(tgt_trees):
-        raise DataError(
-            f"{len(pairs)} pairs but {len(src_trees)} source trees "
-            f"and {len(tgt_trees)} target trees"
-        )
-    rows = []
-    for pair, src_tree, tgt_tree in zip(pairs, src_trees, tgt_trees):
-        check_yield(src_tree, pair.source, f"pair {pair.id} source")
-        check_yield(tgt_tree, pair.target, f"pair {pair.id} target")
-        inp = list(pair.source)
-        if src_tree is not None:
-            inp += [TEMPLATE] + extract_template(src_tree, depth)
-        out = [] if tgt_tree is None else extract_template(tgt_tree, depth)
-        rows.append((inp, out))
-    return rows

@@ -25,7 +25,7 @@ from promptmt.model import (
 )
 from promptmt.pipeline import RunConfig, build_bundles
 from promptmt.prompt import build_dataset, load_dataset, save_dataset
-from promptmt.retrieval import load_hits, load_tm
+from promptmt.retrieval import load_tm
 from promptmt.terminology import load_dictionary
 from promptmt.corpus import BpeModel, Vocab, load_parallel
 from promptmt.synth import SynthConfig, generate
@@ -106,8 +106,7 @@ class TestBuildTm:
 
 class TestRetrieve:
     def test_stdout_is_jsonl_with_null_misses(self, task_dir):
-        r = run_cli("retrieve", "--tm-src", task_dir / "train.src",
-                    "--tm-tgt", task_dir / "train.tgt",
+        r = run_cli("retrieve", "--tm", task_dir / "tm.jsonl",
                     "--query", task_dir / "train.src", "--lambda", 0.9)
         assert r.returncode == 0
         lines = r.stdout.strip().splitlines()
@@ -117,14 +116,23 @@ class TestRetrieve:
             if rec is not None:
                 assert rec["score"] >= 0.9
 
-    def test_out_file_matches_loader(self, task_dir, tmp_path):
+    def test_out_file_holds_the_stdout_records(self, task_dir, tmp_path):
         out = tmp_path / "hits.jsonl"
-        r = run_cli("retrieve", "--tm-src", task_dir / "train.src",
-                    "--tm-tgt", task_dir / "train.tgt",
-                    "--query", task_dir / "test.src", "--lambda", 0.4,
-                    "--out", out)
+        args = ["retrieve", "--tm", task_dir / "tm.jsonl",
+                "--query", task_dir / "test.src", "--lambda", 0.4]
+        r = run_cli(*args, "--out", out)
         assert r.returncode == 0
-        assert len(load_hits(out)) == 4
+        printed = run_cli(*args).stdout
+        assert out.read_text(encoding="utf-8") == printed
+        assert len(printed.splitlines()) == 4
+
+    def test_malformed_tm_is_two_and_named(self, task_dir, tmp_path):
+        bad = tmp_path / "tm.jsonl"
+        bad.write_text('{"id": 0, "src": ["a"], "tgt": ["b"]}\n{"id": 0, "src": "a"}\n',
+                       encoding="utf-8")
+        r = run_cli("retrieve", "--tm", bad, "--query", task_dir / "test.src")
+        assert r.returncode == 2, r.stderr
+        assert f"{bad}: bad TM record at line 2: " in r.stderr
 
 
 class TestMatchTerms:
@@ -463,12 +471,25 @@ class TestTrainTranslateEvaluate:
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
-        assert run_cli("retrieve", "--tm-src", "x").returncode == 1
+        assert run_cli("retrieve", "--tm", "x").returncode == 1
         assert run_cli("no-such-command").returncode == 1
 
     def test_data_error_is_two(self, tmp_path):
         assert run_cli("evaluate", "--hyp", tmp_path / "nope.txt",
                        "--ref", tmp_path / "nope.txt").returncode == 2
+
+    @pytest.mark.parametrize("hyp_text, ref_text, message", [
+        ("a b\nc\n", "a b\n", "{hyp}: 2 hypotheses but {ref}: 1 references"),
+        ("", "", "{hyp}, {ref}: no sentences to score"),
+    ], ids=["line-counts-differ", "empty"])
+    def test_evaluate_corpus_mismatch_is_two_and_named(self, tmp_path, hyp_text, ref_text,
+                                                       message):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text(hyp_text, encoding="utf-8")
+        ref.write_text(ref_text, encoding="utf-8")
+        r = run_cli("evaluate", "--hyp", hyp, "--ref", ref)
+        assert r.returncode == 2, r.stderr
+        assert message.format(hyp=hyp, ref=ref) in r.stderr
 
     def test_non_utf8_input_is_two_and_named(self, tmp_path):
         hyp = tmp_path / "hyp.txt"

@@ -15,7 +15,6 @@ from promptmt.corpus import (
     DataError,
     SentencePair,
     Vocab,
-    bpe_decode,
     bpe_decode_sequence,
     bpe_encode,
     bpe_encode_sequence,
@@ -180,8 +179,8 @@ class TestBpeEncode:
 
     def test_decode_strips_one_marker(self):
         model = BpeModel(merges=())
-        assert bpe_decode(model, ["c", "a", "t" + corpus.END_OF_WORD]) == "cat"
-        assert bpe_decode(model, ["[Input]"]) == "[Input]"
+        assert bpe_decode_sequence(model, ["c", "a", "t" + corpus.END_OF_WORD]) == ["cat"]
+        assert bpe_decode_sequence(model, ["[Input]"]) == ["[Input]"]
 
     def test_sequence_round_trip_small(self):
         model = train_bpe([["the", "cat", "sat"], ["the", "mat"]], num_merges=6)

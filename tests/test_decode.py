@@ -212,17 +212,6 @@ class TestTranslate:
         assert "<eos>" not in tokens
         assert stats.tokens_forced == 3
 
-    def test_output_marker_appended_when_missing(self):
-        cfg, params = tiny_model(7)
-        vocab = toy_vocab()
-        ex = PromptedExample.__new__(PromptedExample)
-        object.__setattr__(ex, "id", 0)
-        object.__setattr__(ex, "input_tokens", ("[Input]", "w1"))
-        object.__setattr__(ex, "output_tokens", ("[Term]", "w3"))
-        object.__setattr__(ex, "loss_mask", (0, 0))
-        tokens, stats = translate(params, cfg, vocab, ex, BeamConfig(max_new_tokens=4))
-        assert stats.tokens_forced == 3  # [Term] w3 [Output]
-
     def test_bpe_reversal(self):
         cfg, params = tiny_model(8)
         vocab = toy_vocab()

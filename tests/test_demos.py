@@ -45,10 +45,19 @@ def test_readme_example_prints_what_it_shows(tmp_path):
     assert [name for name in promptmt.__all__ if not hasattr(promptmt, name)] == []
 
 
+def test_readme_python_api_lists_the_exports():
+    """The README's Python API paragraph names exactly the exported names,
+    so a removed export cannot stay documented."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("### Python API", 1)[1].split("Everything else", 1)[0]
+    documented = set(re.findall(r"`(\w+)`", paragraph)) - {"promptmt"}
+    assert documented == set(promptmt.__all__)
+
+
 def test_readme_shell_pipeline_runs(tmp_path):
     """The README's manual pipeline runs as written, each `promptmt` call
-    made through `python -m promptmt.cli`, and evaluates every test
-    sentence."""
+    made through `python -m promptmt.cli`, shows retrieved `[Sentence]`
+    knowledge, and evaluates every test sentence."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S)
                 if b.startswith("promptmt synth")]
@@ -60,4 +69,5 @@ def test_readme_shell_pipeline_runs(tmp_path):
     assert r.returncode == 0, r.stderr
     n_test = len((tmp_path / "data" / "test.tgt").read_text(encoding="utf-8").splitlines())
     assert len((tmp_path / "hyp.txt").read_text(encoding="utf-8").splitlines()) == n_test
+    assert "[Sentence]" in (tmp_path / "test.jsonl").read_text(encoding="utf-8")
     assert '"bleu"' in r.stdout

@@ -1,11 +1,14 @@
-"""The JSONL record format shared by the five knowledge files: the TM,
-retrieval hits, the term dictionary, term matches and prompted datasets.
+"""The JSONL record format shared by the four knowledge files the
+toolkit reads: the TM, the term dictionary, term matches and prompted
+datasets.
 
 Every loader reads through errors.read_jsonl, so a bad record anywhere
 is a DataError naming the file and the line, and nothing else escapes.
 The corruption sweeps also cover the other files a user hands the
-toolkit: the vocabulary and BPE merges, parse trees, evaluation reports,
-and both halves of a checkpoint, the tensor file and its sidecar.
+toolkit: the vocabulary and BPE merges, parse trees, and both halves of
+a checkpoint, the tensor file and its sidecar. Retrieval hits and
+evaluation reports are written but never read back, so they have no
+loader to sweep.
 """
 
 import itertools
@@ -18,10 +21,9 @@ from hypothesis import strategies as st
 
 from promptmt.corpus import BpeModel, SentencePair, Vocab, train_bpe
 from promptmt.errors import DataError, read_jsonl, write_jsonl
-from promptmt.metrics import EvalReport, load_report, save_report
 from promptmt.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from promptmt.prompt import KnowledgeBundle, assemble, load_dataset, save_dataset
-from promptmt.retrieval import RetrievalHit, load_hits, load_tm, save_hits, save_tm
+from promptmt.retrieval import load_tm, save_tm
 from promptmt.template import load_trees
 from promptmt.terminology import (
     TermDictionary,
@@ -42,9 +44,6 @@ def _write_valid(kind, path):
     checkpoint also writes its sidecar, path + ".json"."""
     if kind == "tm":
         save_tm([(0, ["le", "chat"], ["猫"]), (1, ["chien"], ["Hund", "é"])], path)
-    elif kind == "hits":
-        save_hits([RetrievalHit(3, 0.75, ("le", "chat"), ("猫",)), None,
-                   RetrievalHit(0, 0.5, ("é",), ("x", "y"))], path)
     elif kind == "dict":
         save_dictionary(TermDictionary([CAT, DOG]), path)
     elif kind == "matches":
@@ -56,8 +55,6 @@ def _write_valid(kind, path):
     elif kind == "trees":
         # a blank line is a sentence without a parse
         path.write_text("(S (NP (DT le) (NN chat)) (VP (VB é)))\n\n(X y)\n", encoding="utf-8")
-    elif kind == "report":
-        save_report(EvalReport(bleu=12.5, exact_match=0.75, n_terms=4, n_matched=3), path)
     elif kind in ("ckpt", "sidecar"):
         # a three-digit vocab_size, so one-byte edits reach a float size (1e3)
         config = ModelConfig(vocab_size=123, d_model=2, n_heads=1, n_enc_layers=1,
@@ -70,14 +67,12 @@ def _write_valid(kind, path):
 
 LOADERS = {
     "tm": load_tm,
-    "hits": load_hits,
     "dict": load_dictionary,
     "matches": load_matches,
     "dataset": load_dataset,
     "vocab": Vocab.load,
     "merges": BpeModel.load,
     "trees": load_trees,
-    "report": load_report,
     "ckpt": load_checkpoint,
     "sidecar": load_checkpoint,
 }
@@ -168,7 +163,6 @@ def test_every_json_byte_at_every_position(tmp_path, kind):
 
 GOOD = {
     "tm": '{"id": 0, "src": ["a"], "tgt": ["b"]}',
-    "hits": '{"id": 0, "score": 0.5, "src": ["a"], "tgt": ["b"]}',
     "dict": '{"id": 0, "src": ["a"], "tgt": ["b"]}',
     "matches": '{"id": 0, "terms": [["a", "b"]]}',
     "dataset": '{"id": 0, "input": ["[Input]", "a"], "output": ["[Output]"], "mask": [0]}',
@@ -177,12 +171,10 @@ GOOD = {
 BAD = [
     # non-list token fields
     ("tm", "TM", '{"id": 1, "src": 5, "tgt": ["a"]}'),
-    ("hits", "hit", '{"id": 1, "score": 0.5, "src": 5, "tgt": ["a"]}'),
     ("dict", "term", '{"id": 1, "src": 5, "tgt": ["a"]}'),
     ("dataset", "example", '{"id": 1, "input": 5, "output": ["[Output]"], "mask": [0]}'),
     # a string where a token list belongs: not read as one token per character
     ("tm", "TM", '{"id": 1, "src": "ab", "tgt": ["a"]}'),
-    ("hits", "hit", '{"id": 1, "score": 0.5, "src": "ab", "tgt": ["a"]}'),
     ("dict", "term", '{"id": 1, "src": "ab", "tgt": ["a"]}'),
     ("matches", "match", '{"id": 1, "terms": ["ab"]}'),
     ("matches", "match", '{"id": 1, "terms": [[1, 2]]}'),
@@ -190,15 +182,10 @@ BAD = [
     # non-integer ids and mask bits
     ("tm", "TM", '{"id": "x", "src": ["a"], "tgt": ["b"]}'),
     ("tm", "TM", '{"id": 1.5, "src": ["a"], "tgt": ["b"]}'),
-    ("hits", "hit", '{"id": "1", "score": 0.5, "src": ["a"], "tgt": ["b"]}'),
-    ("hits", "hit", '{"id": 1.5, "score": 0.5, "src": ["a"], "tgt": ["b"]}'),
     ("dict", "term", '{"id": true, "src": ["a"], "tgt": ["b"]}'),
     ("matches", "match", '{"id": "1", "terms": []}'),
     ("dataset", "example", '{"id": 1, "input": ["[Input]"], "output": ["[Output]"], "mask": ["0"]}'),
-    # scores are JSON numbers, not strings or bools
-    ("hits", "hit", '{"id": 1, "score": "0.5", "src": ["a"], "tgt": ["b"]}'),
-    ("hits", "hit", '{"id": 1, "score": true, "src": ["a"], "tgt": ["b"]}'),
-    # null is a miss in a hits file and a bad record everywhere else
+    # null is a bad record in every file read back
     ("tm", "TM", "null"),
     ("dict", "term", "null"),
     ("matches", "match", "null"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from promptmt.errors import DataError
 from promptmt.retrieval import (
     RetrievalHit,
     TmIndex,
-    load_hits,
     load_tm,
     save_hits,
     save_tm,
@@ -202,17 +202,17 @@ class TestFileFormats:
             load_tm(tmp_path / "tm.jsonl")
 
     def test_hits_round_trip_with_nulls(self, tmp_path):
+        # nothing reads a hits file back; each line is one JSON value
         hits = [
             RetrievalHit(id=3, score=0.75, src=("a", "b"), tgt=("x",)),
             None,
             RetrievalHit(id=0, score=0.5, src=("c",), tgt=("y", "z")),
         ]
         save_hits(hits, tmp_path / "hits.jsonl")
-        text = (tmp_path / "hits.jsonl").read_text(encoding="utf-8")
-        assert text.splitlines()[1] == "null"
-        assert load_hits(tmp_path / "hits.jsonl") == hits
-
-    def test_hits_reject_corrupt_line(self, tmp_path):
-        (tmp_path / "hits.jsonl").write_text('null\n{"id": 0, "sco\n', encoding="utf-8")
-        with pytest.raises(DataError, match=r"hits\.jsonl: bad hit record at line 2"):
-            load_hits(tmp_path / "hits.jsonl")
+        lines = (tmp_path / "hits.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "null"
+        assert [json.loads(line) for line in lines] == [
+            {"id": 3, "score": 0.75, "src": ["a", "b"], "tgt": ["x"]},
+            None,
+            {"id": 0, "score": 0.5, "src": ["c"], "tgt": ["y", "z"]},
+        ]

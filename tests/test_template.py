@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptmt.corpus import SentencePair
 from promptmt.errors import DataError
 from promptmt.template import (
     ParseTree,
-    build_template_dataset,
     build_templates,
     extract_template,
     load_trees,
@@ -126,34 +124,3 @@ class TestTreeFiles:
     def test_build_templates_skips_missing(self):
         out = build_templates([parse_ptb(CAT_SAT), None], depth=1)
         assert out == [["NP", "VP"], None]
-
-
-class TestTemplateDataset:
-    PAIR = SentencePair(
-        source=("the", "cat", "sat"), target=("die", "Katze", "saß"), id=0
-    )
-    TGT_TREE = "(S (NP (DT die) (NN Katze)) (VP (VBD saß)))"
-
-    def test_row_shape(self):
-        rows = build_template_dataset(
-            [self.PAIR], [parse_ptb(CAT_SAT)], [parse_ptb(self.TGT_TREE)], depth=1
-        )
-        assert rows == [
-            (["the", "cat", "sat", "[Template]", "NP", "VP"], ["NP", "VP"])
-        ]
-
-    def test_empty_input_gives_empty_dataset(self):
-        assert build_template_dataset([], [], []) == []
-
-    def test_missing_parse_drops_the_block(self):
-        rows = build_template_dataset([self.PAIR], [None], [None], depth=1)
-        assert rows == [(["the", "cat", "sat"], [])]
-
-    def test_yield_mismatch_names_the_pair(self):
-        other = SentencePair(source=("a", "b"), target=("x",), id=9)
-        with pytest.raises(DataError, match="pair 9"):
-            build_template_dataset([other], [parse_ptb(CAT_SAT)], [None])
-
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(DataError, match="trees"):
-            build_template_dataset([self.PAIR], [], [None])
