@@ -23,8 +23,8 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_parallel
-from .decode import BeamConfig, batch_translate, write_translations
+from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_parallel, write_tokenized
+from .decode import BeamConfig, batch_translate
 from .errors import DataError, read_text, write_json
 from .metrics import evaluate, load_tokenized
 from .model import (
@@ -111,10 +111,8 @@ def cmd_match_terms(args) -> int:
 def cmd_extract_templates(args) -> int:
     trees = load_trees(args.trees)
     templates = build_templates(trees, depth=args.depth)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for template in templates:
-            # a blank tree line (no parse) gives a blank template line
-            fh.write(" ".join(template or ()) + "\n")
+    # a blank tree line (no parse) gives a blank template line
+    write_tokenized([template or () for template in templates], args.out)
     print(f"wrote {len(templates)} templates -> {args.out}")
     return 0
 
@@ -197,7 +195,7 @@ def cmd_translate(args) -> int:
     bpe = BpeModel.load(args.bpe) if args.bpe else None
     beam = config_from(BeamConfig, args)
     outputs, stats = batch_translate(params, model_cfg, vocab, examples, beam, bpe=bpe)
-    write_translations(outputs, args.out)
+    write_tokenized(outputs, args.out)
     if args.stats:
         write_json(args.stats, stats)
     print(f"{len(outputs)} sentences -> {args.out} "

@@ -82,13 +82,14 @@ def load_parallel(source_path: str | Path, target_path: str | Path) -> list[Sent
     return pairs
 
 
+def write_tokenized(sentences, path: str | Path) -> None:
+    """Write each token sequence as one space-joined line."""
+    Path(path).write_text("".join(" ".join(s) + "\n" for s in sentences), encoding="utf-8")
+
+
 def write_parallel(pairs: list[SentencePair], source_path: str | Path, target_path: str | Path) -> None:
-    Path(source_path).write_text(
-        "".join(" ".join(p.source) + "\n" for p in pairs), encoding="utf-8"
-    )
-    Path(target_path).write_text(
-        "".join(" ".join(p.target) + "\n" for p in pairs), encoding="utf-8"
-    )
+    write_tokenized([p.source for p in pairs], source_path)
+    write_tokenized([p.target for p in pairs], target_path)
 
 
 class Vocab:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -222,6 +221,9 @@ def batch_translate(
 ):
     """Translate a dataset in order; returns (list of token lists, stats dict).
 
+    A DataError from one example, such as an input longer than the
+    model's max_positions, is raised again naming the example's id.
+
     The stats dict is the JSON summary: mean_forced, mean_generated, and
     sentences_per_second.
     """
@@ -230,7 +232,10 @@ def batch_translate(
     forced = []
     generated = []
     for ex in examples:
-        tokens, stats = translate(params, config, vocab, ex, cfg, bpe)
+        try:
+            tokens, stats = translate(params, config, vocab, ex, cfg, bpe)
+        except DataError as exc:
+            raise DataError(f"example {ex.id}: {exc}") from exc
         outputs.append(tokens)
         forced.append(stats.tokens_forced)
         generated.append(stats.tokens_generated)
@@ -241,10 +246,3 @@ def batch_translate(
         "sentences_per_second": len(examples) / elapsed if elapsed > 0 else 0.0,
     }
     return outputs, summary
-
-
-def write_translations(translations, path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(" ".join(tokens) + "\n" for tokens in translations),
-        encoding="utf-8",
-    )

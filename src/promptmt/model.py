@@ -5,11 +5,12 @@ name -> array dict. Both stacks are built, run and differentiated from one
 table, LAYER_SUBLAYERS: one loop, _layers, embeds a side's ids and runs
 its sublayers in order, recording a cache, and one loop, _layers_backward,
 walks that cache in reverse; the whole gradient is checkable against
-finite differences. Each weight gradient is one 2-D matrix product (BLAS
-GEMM) over the flattened batch and position axes. The loss is the mean
-over examples of the summed negative log likelihood at masked output
-positions only, so knowledge prefixes condition the decoder without being
-trained targets.
+finite differences. Every affine map is one _dense, whose backward,
+_dense_backward, takes the weight gradient as one 2-D matrix product (BLAS
+GEMM) over the flattened batch and position axes. _embed alone checks a
+length against max_positions. The loss is the mean over examples of the
+summed negative log likelihood at masked output positions only, so
+knowledge prefixes condition the decoder without being trained targets.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Batch:
     loss_mask: np.ndarray
 
 
-def make_batch(examples, vocab: Vocab, max_positions: int) -> Batch:
+def make_batch(examples, vocab: Vocab) -> Batch:
     """Encode and right-pad a list of PromptedExamples."""
     if not examples:
         raise DataError("cannot build an empty batch")
@@ -100,10 +101,6 @@ def make_batch(examples, vocab: Vocab, max_positions: int) -> Batch:
     out_rows = [vocab.encode(ex.output_tokens) for ex in examples]
     s_max = max(len(r) for r in src_rows)
     t_max = max(len(r) for r in out_rows)
-    if s_max > max_positions or t_max > max_positions:
-        raise DataError(
-            f"sequence length {max(s_max, t_max)} exceeds max_positions {max_positions}"
-        )
     n = len(examples)
     src = np.full((n, s_max), PAD_ID, dtype=np.int64)
     src_pad = np.zeros((n, s_max))
@@ -241,10 +238,24 @@ def _weight_grad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
+def _dense(x, w, b=None):
+    """The affine map x @ w, plus b if given."""
+    return x @ w if b is None else x @ w + b
+
+
+def _dense_backward(dy, x, params, grads, w, b=None):
+    """Backward of y = _dense(x, params[w], params[b]) given dL/dy: adds the
+    weight and bias gradients to grads and returns dL/dx."""
+    grads[w] += _weight_grad(x, dy)
+    if b is not None:
+        grads[b] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    return dy @ params[w].T
+
+
 def _project_kv(params, prefix, x, n_heads):
     """Head-split keys and values (B, H, L, dh) of x for one attention block."""
-    k = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
-    v = _split_heads(x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"], n_heads)
+    k = _split_heads(_dense(x, params[f"{prefix}.wk"]), n_heads)
+    v = _split_heads(_dense(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), n_heads)
     return k, v
 
 
@@ -252,7 +263,7 @@ def _attention(params, prefix, x_q, x_kv, k, v, add_mask, n_heads, drop: _Dropou
     """Multi-head attention block of x_q over keys k and values v, which
     _project_kv made from x_kv. add_mask broadcasts onto (B,H,Lq,Lk), and
     so do k and v: one set of keys can serve every row of x_q."""
-    q = _split_heads(x_q @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"], n_heads)
+    q = _split_heads(_dense(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), n_heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = q @ k.swapaxes(-1, -2) * scale
     if add_mask is not None:
@@ -260,19 +271,15 @@ def _attention(params, prefix, x_q, x_kv, k, v, add_mask, n_heads, drop: _Dropou
     attn = softmax(scores)
     attn_d, keep = drop.apply(attn)
     ctx = _merge_heads(attn_d @ v)
-    out = ctx @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
+    out = _dense(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     cache = (x_q, x_kv, q, k, v, attn, attn_d, keep, ctx, scale)
     return out, cache
 
 
 def _attention_backward(dout, params, prefix, cache, n_heads, grads):
     x_q, x_kv, q, k, v, attn, attn_d, keep, ctx, scale = cache
-    p = lambda n: params[f"{prefix}.{n}"]
-    g = lambda n: grads[f"{prefix}.{n}"]
-
-    grads[f"{prefix}.wo"] += _weight_grad(ctx, dout)
-    grads[f"{prefix}.bo"] += dout.sum(axis=(0, 1))
-    dctx = _split_heads(dout @ p("wo").T, n_heads)
+    n = lambda name: f"{prefix}.{name}"
+    dctx = _split_heads(_dense_backward(dout, ctx, params, grads, n("wo"), n("bo")), n_heads)
 
     dattn_d = dctx @ v.swapaxes(-1, -2)
     dv = attn_d.swapaxes(-1, -2) @ dctx
@@ -281,43 +288,34 @@ def _attention_backward(dout, params, prefix, cache, n_heads, grads):
     dq = dscores @ k * scale
     dk = dscores.swapaxes(-1, -2) @ q * scale
 
-    dq2, dk2, dv2 = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[f"{prefix}.wq"] += _weight_grad(x_q, dq2)
-    grads[f"{prefix}.bq"] += dq2.sum(axis=(0, 1))
-    grads[f"{prefix}.wk"] += _weight_grad(x_kv, dk2)
-    grads[f"{prefix}.wv"] += _weight_grad(x_kv, dv2)
-    grads[f"{prefix}.bv"] += dv2.sum(axis=(0, 1))
-    dx_q = dq2 @ p("wq").T
-    dx_kv = dk2 @ p("wk").T + dv2 @ p("wv").T
+    dx_q = _dense_backward(_merge_heads(dq), x_q, params, grads, n("wq"), n("bq"))
+    dx_kv = (_dense_backward(_merge_heads(dk), x_kv, params, grads, n("wk"))
+             + _dense_backward(_merge_heads(dv), x_kv, params, grads, n("wv"), n("bv")))
     return dx_q, dx_kv
 
 
 def _feed_forward(params, prefix, x):
-    w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
-    w2, b2 = params[f"{prefix}.w2"], params[f"{prefix}.b2"]
-    h = x @ w1 + b1
+    h = _dense(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     r = np.maximum(h, 0.0)
-    out = r @ w2 + b2
+    out = _dense(r, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     return out, (x, h, r)
 
 
 def _feed_forward_backward(dout, params, prefix, cache, grads):
     x, h, r = cache
-    w1, w2 = params[f"{prefix}.w1"], params[f"{prefix}.w2"]
-    grads[f"{prefix}.w2"] += _weight_grad(r, dout)
-    grads[f"{prefix}.b2"] += dout.sum(axis=(0, 1))
-    dr = dout @ w2.T
-    dh = dr * (h > 0.0)
-    grads[f"{prefix}.w1"] += _weight_grad(x, dh)
-    grads[f"{prefix}.b1"] += dh.sum(axis=(0, 1))
-    return dh @ w1.T
+    dh = _dense_backward(dout, r, params, grads, f"{prefix}.w2", f"{prefix}.b2") * (h > 0.0)
+    return _dense_backward(dh, x, params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _embed(params, config, ids, drop: _Dropout, start: int = 0):
-    """Scaled embeddings plus positions start, start+1, ... of ids (B, L)."""
+    """Scaled embeddings plus positions start, ..., end - 1 of ids (B, L);
+    a DataError if end is past max_positions."""
+    end = start + ids.shape[1]
+    if end > config.max_positions:
+        raise DataError(f"sequence length {end} exceeds max_positions {config.max_positions}")
     scale = np.sqrt(config.d_model)
     emb = params["embed"][ids] * scale
-    pe = sinusoidal_positions(config.max_positions, config.d_model)[start : start + ids.shape[1]]
+    pe = sinusoidal_positions(config.max_positions, config.d_model)[start:end]
     return drop.apply(emb + pe)
 
 
@@ -435,23 +433,26 @@ def forward(params: dict, config: ModelConfig, batch: Batch, dropout_rng=None):
     Position j is predicted from <bos> and output tokens < j; the shift
     happens here, so batches carry the unshifted output ids.
     """
-    b, t = batch.out.shape
-    if t > config.max_positions or batch.src.shape[1] > config.max_positions:
-        raise DataError(
-            f"batch length exceeds max_positions {config.max_positions}"
-        )
     drop = _Dropout(config.dropout, dropout_rng)
     src_mask = _key_pad_mask(batch.src_pad)
     enc_out, enc_cache = _layers(params, config, "enc", batch.src, src_mask, drop)
     dec_in = np.concatenate(
-        [np.full((b, 1), BOS_ID, dtype=np.int64), batch.out[:, :-1]], axis=1
+        [np.full((len(batch.out), 1), BOS_ID, dtype=np.int64), batch.out[:, :-1]], axis=1
     )
-    y, dec_cache = _layers(
-        params, config, "dec", dec_in, _causal_mask(t), drop,
-        memory=enc_out, memory_mask=src_mask,
-    )
-    logits = y @ params["embed"].T
+    logits, y, dec_cache = _decode(params, config, dec_in, drop, enc_out, src_mask)
     return logits, {"enc": enc_cache, "dec": dec_cache, "dec_out": y}
+
+
+def _decode(params, config, dec_in, drop: _Dropout, memory, memory_mask, state=None):
+    """Run the decoder layers on dec_in (B, t), after the state's positions
+    if a DecoderState is given, then the output projection, which is the
+    tied embedding; returns the logits, the decoder output and its cache."""
+    start = 0 if state is None else state.length
+    y, cache = _layers(
+        params, config, "dec", dec_in, _causal_mask(dec_in.shape[1], start), drop,
+        memory=memory, memory_mask=memory_mask, state=state, start=start,
+    )
+    return _dense(y, params["embed"].T), y, cache
 
 
 def loss(logits: np.ndarray, batch: Batch) -> float:
@@ -481,7 +482,8 @@ def loss_and_gradients(params, config, batch, dropout_rng=None):
     grads = zeros_like_params(params)
     dlogits = _loss_backward(logits, batch)
 
-    # output projection is the tied embedding
+    # the output projection is the tied embedding, stored transposed: its
+    # gradient is laid out as the embedding's, so it is not _dense_backward's
     grads["embed"] += _weight_grad(dlogits, cache["dec_out"])
     dy = dlogits @ params["embed"]
     denc_out = _layers_backward(dy, params, config, cache["dec"], grads)
@@ -497,28 +499,13 @@ def encode_source(params, config, src: np.ndarray, src_pad: np.ndarray):
     return enc_out
 
 
-def _decoder_logits(params, config, dec_in, enc_out, src_mask, state=None):
-    start = 0 if state is None else state.length
-    if start + dec_in.shape[1] > config.max_positions:
-        raise DataError(
-            f"decoder length {start + dec_in.shape[1]} exceeds max_positions "
-            f"{config.max_positions}"
-        )
-    y, _ = _layers(
-        params, config, "dec", dec_in, _causal_mask(dec_in.shape[1], start),
-        _Dropout(0.0, None), memory=enc_out, memory_mask=src_mask, state=state,
-        start=start,
-    )
-    return y @ params["embed"].T
-
-
 def decoder_logits(params, config, enc_out, src_pad, dec_in: np.ndarray):
     """Logits (B, T, vocab) for explicit decoder input ids (starting <bos>).
 
     Runs the whole sequence with no state kept: the uncached reference for
     decoder_step.
     """
-    return _decoder_logits(params, config, dec_in, enc_out, _key_pad_mask(src_pad))
+    return _decode(params, config, dec_in, _Dropout(0.0, None), enc_out, _key_pad_mask(src_pad))[0]
 
 
 def decoder_step(params, config, state: DecoderState, dec_in: np.ndarray):
@@ -529,7 +516,7 @@ def decoder_step(params, config, state: DecoderState, dec_in: np.ndarray):
     later calls feed the newest token of each hypothesis. The logits match
     those decoder_logits gives for the whole sequence.
     """
-    return _decoder_logits(params, config, dec_in, None, state.src_mask, state)
+    return _decode(params, config, dec_in, _Dropout(0.0, None), None, state.src_mask, state)[0]
 
 
 @dataclass
@@ -589,7 +576,7 @@ def _dataset_loss(params, config, examples, vocab, batch_size) -> float:
     total = 0.0
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
-        batch = make_batch(chunk, vocab, config.max_positions)
+        batch = make_batch(chunk, vocab)
         logits, _ = forward(params, config, batch)
         total += loss(logits, batch) * len(chunk)
     return total / len(examples)
@@ -628,7 +615,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), train_config.batch_size):
             chunk = [train_set[i] for i in order[start : start + train_config.batch_size]]
-            batch = make_batch(chunk, vocab, config.max_positions)
+            batch = make_batch(chunk, vocab)
             value, grads = loss_and_gradients(params, config, batch, dropout_rng=rng)
             if not np.isfinite(value):
                 raise RuntimeError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel
+from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel, write_tokenized
 from .errors import write_json
 from .metrics import EvalReport, evaluate, save_report
 from .model import (
@@ -28,7 +28,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .decode import BeamConfig, batch_translate, write_translations
+from .decode import BeamConfig, batch_translate
 from .prompt import KnowledgeBundle, build_dataset, save_dataset, strip_knowledge
 from .retrieval import TmIndex, check_threshold, save_tm
 from .synth import SynthConfig, generate
@@ -234,8 +234,8 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     say(f"decoding {len(test)} sentences, beam {beam.beam_size}")
     prompted_hyp, stats = batch_translate(params, model_cfg, vocab, prompted_test, beam, bpe=bpe)
     plain_hyp, plain_stats = batch_translate(params, model_cfg, vocab, plain_test, beam, bpe=bpe)
-    write_translations(prompted_hyp, work / "hyp.prompted.txt")
-    write_translations(plain_hyp, work / "hyp.plain.txt")
+    write_tokenized(prompted_hyp, work / "hyp.prompted.txt")
+    write_tokenized(plain_hyp, work / "hyp.plain.txt")
     write_json(work / "stats.prompted.json", stats)
     write_json(work / "stats.plain.json", plain_stats)
 

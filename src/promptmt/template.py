@@ -50,11 +50,6 @@ class ParseTree:
             return 0
         return 1 + max(child.height() for child in self.children)
 
-    def render(self) -> str:
-        if self.is_leaf:
-            return f"({self.label} {self.word})"
-        return f"({self.label} " + " ".join(c.render() for c in self.children) + ")"
-
 
 def parse_ptb(text: str) -> ParseTree:
     """Parse one bracketed tree; errors carry the character offset."""

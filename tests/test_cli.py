@@ -24,10 +24,10 @@ from promptmt.model import (
     save_checkpoint,
 )
 from promptmt.pipeline import RunConfig, build_bundles
-from promptmt.prompt import build_dataset, load_dataset, save_dataset
+from promptmt.prompt import assemble, build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_tm
 from promptmt.terminology import load_dictionary
-from promptmt.corpus import BpeModel, Vocab, load_parallel
+from promptmt.corpus import BpeModel, SentencePair, Vocab, load_parallel
 from promptmt.synth import SynthConfig, generate
 
 
@@ -444,6 +444,20 @@ class TestTrainTranslateEvaluate:
                     "--out", tmp_path / "h.txt")
         assert r.returncode == 2, r.stderr
         assert named in r.stderr
+        assert not (tmp_path / "h.txt").exists()
+
+    def test_translate_source_past_max_positions_is_two_and_named(self, tmp_path):
+        vocab = Vocab.build(["a", "b"])
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_enc_layers=1,
+                             n_dec_layers=1, d_ff=8, max_positions=6)
+        save_checkpoint(tmp_path / "m.ckpt", init_params(config), config, vocab)
+        long_input = assemble(SentencePair(("a",) * 9, ("b",), 0), include_target=False)
+        save_dataset([long_input], tmp_path / "test.jsonl")
+        r = run_cli("translate", "--ckpt", tmp_path / "m.ckpt", "--data", tmp_path / "test.jsonl",
+                    "--vocab", tmp_path / "vocab.txt", "--out", tmp_path / "h.txt")
+        assert r.returncode == 2, r.stderr
+        assert "error: example 0: sequence length 10 exceeds max_positions 6" in r.stderr
         assert not (tmp_path / "h.txt").exists()
 
     def test_evaluate_json_and_table(self, artifacts):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from promptmt import decode
-from promptmt.corpus import BOS_ID, EOS_ID, SPECIAL_TOKENS, Vocab, train_bpe
+from promptmt.corpus import BOS_ID, EOS_ID, SPECIAL_TOKENS, Vocab, train_bpe, write_tokenized
 from promptmt.decode import (
     BeamConfig,
     batch_translate,
     beam_search,
     greedy_decode,
     translate,
-    write_translations,
 )
 from promptmt.errors import DataError, write_json
 from promptmt.model import (
@@ -180,6 +179,12 @@ class TestBeamSearch:
         with pytest.raises(DataError, match="max_positions"):
             greedy_decode(params, cfg, src, pad, prefix, 10)
 
+    def test_source_longer_than_positions_rejected(self):
+        cfg, params = tiny_model(5)
+        src, pad = random_source(np.random.default_rng(5), cfg.vocab_size, cfg.max_positions + 1)
+        with pytest.raises(DataError, match="max_positions"):
+            beam_search(params, cfg, src, pad, [8], BeamConfig(max_new_tokens=10))
+
 
 class TestBeamConfig:
     def test_rejects_bad_values(self):
@@ -276,7 +281,7 @@ class TestBatchTranslate:
             params, cfg, vocab, self.make_examples(), BeamConfig(max_new_tokens=4)
         )
         assert len(outputs) == 3
-        write_translations(outputs, tmp_path / "out.txt")
+        write_tokenized(outputs, tmp_path / "out.txt")
         lines = (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 

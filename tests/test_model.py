@@ -543,7 +543,7 @@ class TestBatch:
                 1, ("[Input]", "w0", "w1", "w2"), ("[Output]", "w3", "w4", "<eos>"), (0, 1, 1, 1)
             ),
         ]
-        batch = make_batch(examples, vocab, max_positions=16)
+        batch = make_batch(examples, vocab)
         assert batch.src.shape == (2, 4)
         assert batch.src[0, 2] == 0  # pad id
         assert batch.src_pad[0].tolist() == [1.0, 1.0, 0.0, 0.0]
@@ -554,12 +554,13 @@ class TestBatch:
         ex = PromptedExample(
             0, ("[Input]",) + ("w0",) * 20, ("[Output]", "w1", "<eos>"), (0, 1, 1)
         )
+        cfg = tiny_config(vocab_size=len(vocab), max_positions=8)
         with pytest.raises(DataError, match="max_positions"):
-            make_batch([ex], vocab, max_positions=8)
+            loss_and_gradients(init_params(cfg), cfg, make_batch([ex], vocab))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError):
-            make_batch([], toy_vocab(), 8)
+            make_batch([], toy_vocab())
 
 
 class TestCheckpoint:
