@@ -35,6 +35,7 @@ from .errors import DataError
 from .model import (
     DecoderState,
     ModelConfig,
+    _keep_freed_memory,
     decoder_logits,
     decoder_step,
     encode_source,
@@ -90,6 +91,7 @@ def beam_search(
     scores as they stand. A prefix that leaves no position is a DataError.
     """
     limit = _new_token_limit(config, prefix_ids, cfg.max_new_tokens)
+    _keep_freed_memory()
     enc_out = encode_source(params, config, src_ids, src_pad)
     state = DecoderState(params, config, enc_out, src_pad)
 

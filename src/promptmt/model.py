@@ -5,16 +5,30 @@ name -> array dict. Both stacks are built, run and differentiated from one
 table, LAYER_SUBLAYERS: one loop, _layers, embeds a side's ids and runs
 its sublayers in order, recording a cache, and one loop, _layers_backward,
 walks that cache in reverse; the whole gradient is checkable against
-finite differences. Every affine map is one _dense, whose backward,
-_dense_backward, takes the weight gradient as one 2-D matrix product (BLAS
-GEMM) over the flattened batch and position axes. _embed alone checks a
+finite differences. Every affine map is one _dense, and it and its
+backward, _dense_backward, run each weight product as one 2-D matrix
+product (BLAS GEMM) over the flattened batch and position axes: numpy runs
+a 3-D activation times a 2-D weight as one small product per batch row,
+about twice as slow at (64, 17, 64) @ (64, 256). _embed alone checks a
 length against max_positions. The loss is the mean over examples of the
 summed negative log likelihood at masked output positions only, so
 knowledge prefixes condition the decoder without being trained targets.
+
+A training step frees a working set of tens of MB that the next step
+allocates again. glibc's defaults serve large arrays from fresh mappings
+and give freed heap tops back to the kernel, so every step page-faulted
+its working set back in (about 7,000 minor faults a step at B 64, d_model
+64). train and decode.beam_search call _keep_freed_memory, which sets
+glibc's mmap threshold to 32 MB and its trim threshold to 256 MB, so freed
+memory stays mapped and is reused. Both must be set: setting either one
+turns glibc's dynamic thresholds off, and with the trim threshold alone
+arrays above 128 kB still came from fresh mappings (over 50,000 faults a
+step, glibc 2.36). Without mallopt (macOS, musl) nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
@@ -167,15 +181,31 @@ def zeros_like_params(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed memory mapped for reuse (see the module docstring); once
+    per process, and a no-op without glibc's mallopt."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to open by None (Windows)
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's largest
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+# the ufunc reductions are what np.max, np.sum and .mean run, minus their
+# Python wrappers; .mean is add.reduce divided by the count
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 class _Dropout:
@@ -198,10 +228,11 @@ class _Dropout:
 
 
 def _layer_norm(x, g, b):
-    xc = x - x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     # x.var would recompute the mean and the centred difference; this is
     # the same arithmetic, so the variance is bit-identical
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv)
@@ -210,11 +241,12 @@ def _layer_norm(x, g, b):
 def _layer_norm_backward(dy, cache, g):
     xhat, inv = cache
     lead = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=lead)
-    db = dy.sum(axis=lead)
+    d = dy.shape[-1]
+    dg = np.add.reduce(dy * xhat, axis=lead)
+    db = np.add.reduce(dy, axis=lead)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dg, db
 
@@ -239,8 +271,12 @@ def _weight_grad(a, b):
 
 
 def _dense(x, w, b=None):
-    """The affine map x @ w, plus b if given."""
-    return x @ w if b is None else x @ w + b
+    """The affine map x @ w, plus b if given, as one 2-D product over the
+    rows of x flattened to (-1, x.shape[-1])."""
+    y = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+    if b is not None:
+        y += b
+    return y
 
 
 def _dense_backward(dy, x, params, grads, w, b=None):
@@ -249,7 +285,7 @@ def _dense_backward(dy, x, params, grads, w, b=None):
     grads[w] += _weight_grad(x, dy)
     if b is not None:
         grads[b] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    return dy @ params[w].T
+    return _dense(dy, params[w].T)
 
 
 def _project_kv(params, prefix, x, n_heads):
@@ -261,8 +297,9 @@ def _project_kv(params, prefix, x, n_heads):
 
 def _attention(params, prefix, x_q, x_kv, k, v, add_mask, n_heads, drop: _Dropout):
     """Multi-head attention block of x_q over keys k and values v, which
-    _project_kv made from x_kv. add_mask broadcasts onto (B,H,Lq,Lk), and
-    so do k and v: one set of keys can serve every row of x_q."""
+    _project_kv made from x_kv. add_mask, None for no mask, broadcasts onto
+    (B,H,Lq,Lk), and so do k and v: one set of keys can serve every row of
+    x_q."""
     q = _split_heads(_dense(x_q, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), n_heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = q @ k.swapaxes(-1, -2) * scale
@@ -325,14 +362,20 @@ def _embed_backward(dx, ids, keep, scale, grads):
     np.add.at(grads["embed"], ids.reshape(-1), demb.reshape(-1, d))
 
 
-def _causal_mask(t: int, past: int = 0) -> np.ndarray:
+def _causal_mask(t: int, past: int = 0):
     """Mask for t new positions that see the past earlier ones and
-    themselves up to their own position."""
+    themselves up to their own position; None for one position, which
+    sees every key."""
+    if t == 1:
+        return None
     mask = np.triu(np.full((t, past + t), NEG_INF), k=past + 1)
     return mask[None, None, :, :]
 
 
-def _key_pad_mask(pad: np.ndarray) -> np.ndarray:
+def _key_pad_mask(pad: np.ndarray):
+    """Mask hiding padded keys; None when no key is padded."""
+    if pad.all():
+        return None
     return ((1.0 - pad) * NEG_INF)[:, None, None, :]
 
 
@@ -485,7 +528,7 @@ def loss_and_gradients(params, config, batch, dropout_rng=None):
     # the output projection is the tied embedding, stored transposed: its
     # gradient is laid out as the embedding's, so it is not _dense_backward's
     grads["embed"] += _weight_grad(dlogits, cache["dec_out"])
-    dy = dlogits @ params["embed"]
+    dy = _dense(dlogits, params["embed"])
     denc_out = _layers_backward(dy, params, config, cache["dec"], grads)
     _layers_backward(denc_out, params, config, cache["enc"], grads)
     return value, grads
@@ -567,9 +610,13 @@ class Adam:
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+            # in place, in the order of m = b1 * m + (1 - b1) * g
+            m, v = self.m[k], self.v[k]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _dataset_loss(params, config, examples, vocab, batch_size) -> float:
@@ -609,6 +656,7 @@ def train(
     steps_per_epoch = -(-len(train_set) // train_config.batch_size)
     total_steps = steps_per_epoch * train_config.max_epochs
     step = 0
+    _keep_freed_memory()
 
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(len(train_set))

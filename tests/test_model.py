@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import platform
 import re
 
 import numpy as np
@@ -213,6 +214,33 @@ class TestForward:
         assert np.allclose(logits, step_logits, atol=1e-10)
 
 
+class TestMasks:
+    def test_no_mask_equals_zero_mask(self):
+        from promptmt.model import _Dropout, _attention, _project_kv
+
+        cfg = tiny_config(d_model=16, n_heads=4)
+        params = init_params(cfg, seed=24)
+        rng = np.random.default_rng(25)
+        x_q, x_kv = rng.normal(size=(3, 1, 16)), rng.normal(size=(3, 6, 16))
+        k, v = _project_kv(params, "dec0.cross", x_kv, cfg.n_heads)
+        no_drop = _Dropout(0.0, None)
+        got, _ = _attention(params, "dec0.cross", x_q, x_kv, k, v, None, 4, no_drop)
+        zeros = np.zeros((3, 1, 1, 6))
+        want, _ = _attention(params, "dec0.cross", x_q, x_kv, k, v, zeros, 4, no_drop)
+        assert np.array_equal(got, want)
+
+    def test_masks_that_hide_nothing_are_none(self):
+        from promptmt.model import _causal_mask, _key_pad_mask
+
+        assert _causal_mask(1) is None
+        assert _causal_mask(1, past=5) is None
+        assert _causal_mask(2, past=5).shape == (1, 1, 2, 7)
+        assert _key_pad_mask(np.ones((2, 4))) is None
+        mask = _key_pad_mask(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+        assert mask[0, 0, 0].tolist() == [0.0, 0.0, -1e9]
+        assert mask[1, 0, 0].tolist() == [0.0, 0.0, 0.0]
+
+
 class TestDecoderState:
     """Incremental decoding against the uncached decoder_logits reference."""
 
@@ -327,6 +355,18 @@ class TestGradients:
         # two layers a side catch a wrong layer order in the backward and a
         # wrong sum of the encoder-output gradient over decoder layers
         cfg = tiny_config(n_enc_layers=2, n_dec_layers=2, dropout=0.2)
+        self.check_dropout_padding(cfg, samples_per_tensor=4)
+
+    def test_matches_finite_differences_at_pipeline_width(self):
+        # at d_model 8 the flattened products in _dense round as the
+        # batched ones did; at 64 they reorder float sums, as in training
+        cfg = tiny_config(d_model=64, n_heads=4, d_ff=256, n_enc_layers=2,
+                          n_dec_layers=2, dropout=0.2)
+        self.check_dropout_padding(cfg, samples_per_tensor=2)
+
+    @staticmethod
+    def check_dropout_padding(cfg, samples_per_tensor):
+        """Finite differences with dropout on and source row 1 padded."""
         params = init_params(cfg, seed=11)
         rng = np.random.default_rng(12)
         batch = random_batch(rng, cfg, b=2, s=4, t=5)
@@ -337,7 +377,7 @@ class TestGradients:
             params, cfg, batch, dropout_rng=np.random.default_rng(dropout_seed)
         )
         worst, worst_name = check_gradients(
-            params, cfg, batch, grads, rng, samples_per_tensor=4,
+            params, cfg, batch, grads, rng, samples_per_tensor=samples_per_tensor,
             dropout_seed=dropout_seed,
         )
         assert worst < 1e-4, f"worst {worst:.2e} at {worst_name}"
@@ -506,6 +546,36 @@ class TestTraining:
         data = copy_examples(4, np.random.default_rng(23))
         with pytest.raises(RuntimeError, match="diverged"):
             train(params, cfg, data, None, TrainConfig(max_epochs=1, batch_size=2), vocab)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mallopt thresholds train sets are glibc's")
+    def test_steps_reuse_freed_memory(self):
+        # with glibc's default thresholds every step page-faulted its freed
+        # working set back in, about 7,000 minor faults a step at this width
+        import resource
+
+        vocab = toy_vocab(190)
+        rng = np.random.default_rng(26)
+        data = [
+            PromptedExample(
+                id=i,
+                input_tokens=("[Input]",) + tuple(f"w{t}" for t in rng.integers(0, 190, 13)),
+                output_tokens=("[Output]",) + tuple(f"w{t}" for t in rng.integers(0, 190, 15))
+                + ("<eos>",),
+                loss_mask=(0,) + (1,) * 16,
+            )
+            for i in range(512)
+        ]
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_heads=4, n_enc_layers=2,
+                          n_dec_layers=2, d_ff=256, dropout=0.1)
+        params = init_params(cfg, seed=27)
+        tc = TrainConfig(batch_size=64, max_epochs=1)
+        train(params, cfg, data, None, tc, vocab)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(params, cfg, data, None, tc, vocab)
+        steps = len(data) // tc.batch_size
+        per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+        assert per_step < 100, f"{per_step:.0f} minor page faults per training step"
 
     def test_lr_schedule(self):
         tc = TrainConfig(lr=1.0, warmup_steps=4, schedule="linear")
