@@ -23,7 +23,7 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_parallel, write_tokenized
+from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_tokenized
 from .decode import BeamConfig, batch_translate
 from .errors import DataError, read_text, write_json
 from .metrics import evaluate, load_tokenized
@@ -35,12 +35,13 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .pipeline import RunConfig, _split_train_val, build_bundles, config_from, run_pipeline
+from .pipeline import (RunConfig, _split_train_val, build_bundles, config_from, run_pipeline,
+                       write_task)
 from .prompt import build_dataset, load_dataset, save_dataset, strip_knowledge
 from .retrieval import hit_record, load_tm, save_hits, save_tm
 from .synth import SynthConfig, generate
 from .template import DEFAULT_DEPTH, build_templates, check_yield, load_trees
-from .terminology import load_dictionary, load_matches, save_dictionary, save_matches
+from .terminology import load_dictionary, load_matches, save_matches
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,8 +181,7 @@ def cmd_train(args) -> int:
 
 def _check_vocab(ckpt_path, sidecar: dict, vocab: Vocab) -> None:
     # a checkpoint is only meaningful with the vocabulary it was trained on
-    want = sidecar.get("vocab_sha256")
-    if want is not None and want != vocab.sha256():
+    if sidecar["vocab_sha256"] != vocab.sha256():
         raise DataError(f"{ckpt_path}: checkpoint was trained with a different vocabulary")
 
 
@@ -229,12 +229,8 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     cfg = config_from(SynthConfig, args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_pairs, test_pairs, dictionary, tm_entries = generate(cfg)
-    write_parallel(train_pairs, out / "train.src", out / "train.tgt")
-    write_parallel(test_pairs, out / "test.src", out / "test.tgt")
-    save_dictionary(dictionary, out / "dict.jsonl")
-    save_tm(tm_entries, out / "tm.jsonl")
+    write_task(out, {"train": train_pairs, "test": test_pairs}, dictionary, tm_entries)
     print(f"{len(train_pairs)} train / {len(test_pairs)} test pairs, "
           f"{len(dictionary)} dictionary entries, {len(tm_entries)} TM entries -> {out}")
     return 0

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -703,102 +703,75 @@ def train(
 
 
 CHECKPOINT_MAGIC = b"PMTCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the magic, then the version as a little-endian u16
+_HEADER_BYTES = len(CHECKPOINT_MAGIC) + 2
 
 
 def save_checkpoint(path: str | Path, params: dict, config: ModelConfig, vocab: Vocab) -> None:
-    """Binary tensor file plus a <path>.json sidecar with config and vocab hash.
+    """Tensor file plus a <path>.json sidecar with the config, the payload's
+    sha256 and the vocabulary's.
 
-    Layout, all little-endian: magic, u16 version, u32 tensor count, then per
-    tensor u16 name length, utf-8 name, u8 ndim, u32 per dimension, float64
-    row-major payload.
+    The tensor file is the magic and a little-endian u16 version, then the
+    payload: every tensor param_shapes(config) lists, in its order, as
+    little-endian float64, row-major. The config fixes every name and
+    shape, so the file holds none, and params must have exactly those
+    shapes.
     """
+    shapes = param_shapes(config)
+    if {k: np.shape(v) for k, v in params.items()} != shapes:
+        raise ValueError("params differ from the tensors param_shapes(config) lists")
+    payload = b"".join(np.asarray(params[name], dtype="<f8").tobytes() for name in shapes)
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(params)))
-        for name in sorted(params):
-            tensor = np.ascontiguousarray(params[name], dtype=np.float64)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(tensor.astype("<f8").tobytes())
+    path.write_bytes(CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(2, "little") + payload)
     sidecar = {
-        "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "vocab_sha256": vocab.sha256(),
     }
     write_json(str(path) + ".json", sidecar)
 
 
-def _read_tensors(path: Path, data: bytes) -> dict:
-    """Parse the tensor file written by save_checkpoint; DataError if it is
-    not one, or is cut short anywhere."""
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    where = "header"
-    params = {}
-    try:
-        version, count = struct.unpack_from("<HI", data, off)
-        off += struct.calcsize("<HI")
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        for index in range(count):
-            where = f"tensor {index} header"
-            (name_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = struct.unpack_from(f"<{name_len}s", data, off)[0].decode("utf-8")
-            off += name_len
-            where = f"tensor {name!r}"
-            (ndim,) = struct.unpack_from("<B", data, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, off)
-            off += 4 * ndim
-            n_bytes = 8 * math.prod(shape)
-            if off + n_bytes > len(data):
-                raise DataError(
-                    f"{path}: truncated checkpoint: {where} needs {n_bytes} bytes, "
-                    f"{len(data) - off} left"
-                )
-            tensor = np.frombuffer(data, dtype="<f8", count=n_bytes // 8, offset=off)
-            off += n_bytes
-            params[name] = tensor.reshape(shape).copy()
-    except (struct.error, ValueError) as exc:
-        # ValueError covers UnicodeDecodeError and a shape numpy cannot build
-        raise DataError(f"{path}: truncated or corrupt checkpoint in {where}: {exc}") from exc
-    if off != len(data):
-        raise DataError(f"{path}: {len(data) - off} trailing bytes")
-    return params
-
-
 def load_checkpoint(path: str | Path):
     """Returns (params, ModelConfig, sidecar dict).
 
-    The tensors must be exactly those param_shapes lists for the sidecar's
-    config, with the same shapes. Any malformed, truncated or inconsistent
-    file raises a DataError that names it.
+    Checks, in order: the magic, the version, the sidecar, the payload
+    length the sidecar's config needs, the payload's sha256, and that every
+    value is finite. A failure raises a DataError naming the file at fault.
     """
     path = Path(path)
-    params = _read_tensors(path, path.read_bytes())
+    data = path.read_bytes()
+    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file (bad magic)")
+    if len(data) < _HEADER_BYTES:
+        raise DataError(f"{path}: truncated or corrupt checkpoint: no version")
+    version = int.from_bytes(data[len(CHECKPOINT_MAGIC) : _HEADER_BYTES], "little")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"{sidecar_path}: checkpoint sidecar missing")
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig.from_dict(sidecar["config"])
-        want = param_shapes(config)
+        shapes = param_shapes(config)
+        # both hashes are required; the caller checks vocab_sha256
+        want_sha256, _ = sidecar["payload_sha256"], sidecar["vocab_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and bad
-        # sizes, such as 0 or 1e3; TypeError a missing or unknown field
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and bad sizes,
+        # such as 0 or 1e3; KeyError and TypeError a missing or unknown field
         raise DataError(f"{sidecar_path}: bad checkpoint sidecar: {exc!r}") from exc
-    have = {k: v.shape for k, v in params.items()}
-    if have != want:
-        name = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
-        raise DataError(
-            f"{path}: tensor {name!r} is {have.get(name, 'absent')} in the file, "
-            f"{want.get(name, 'absent')} for the sidecar config"
-        )
+    payload = memoryview(data)[_HEADER_BYTES:]
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    n_bytes = 8 * sum(sizes)
+    if len(payload) != n_bytes:
+        raise DataError(f"{path}: truncated or corrupt checkpoint: the payload is "
+                        f"{len(payload)} bytes, the sidecar config needs {n_bytes}")
+    if hashlib.sha256(payload).hexdigest() != want_sha256:
+        raise DataError(f"{path}: payload sha256 differs from the sidecar's")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: non-finite value in the payload")
+    views = np.split(flat, np.cumsum(sizes)[:-1])
+    params = {name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)}
     return params, config, sidecar

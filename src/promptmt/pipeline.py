@@ -152,6 +152,16 @@ def _split_train_val(pairs):
     return pairs[:-n_val], pairs[-n_val:]
 
 
+def write_task(out: Path, splits: dict, dictionary, tm_entries) -> None:
+    """Make out and write a task there: each {name: pairs} split as
+    name.src and name.tgt, the dictionary as dict.jsonl, the TM as tm.jsonl."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, pairs in splits.items():
+        write_parallel(pairs, out / f"{name}.src", out / f"{name}.tgt")
+    save_dictionary(dictionary, out / "dict.jsonl")
+    save_tm(tm_entries, out / "tm.jsonl")
+
+
 def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     """Execute the experiment; returns {"prompted", "unprompted", "stats"}.
 
@@ -160,7 +170,6 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     """
     say = log if log is not None else lambda msg: None
     work = Path(work_dir)
-    work.mkdir(parents=True, exist_ok=True)
 
     synth_cfg = replace(cfg.synth, seed=cfg.seed)
     all_train, test, dictionary, tm_entries = generate(synth_cfg)
@@ -168,11 +177,8 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     say(f"task: {len(train_pairs)} train / {len(val_pairs)} val / {len(test)} test, "
         f"{len(dictionary)} dictionary entries, {len(tm_entries)} TM entries")
 
-    write_parallel(train_pairs, work / "train.src", work / "train.tgt")
-    write_parallel(val_pairs, work / "val.src", work / "val.tgt")
-    write_parallel(test, work / "test.src", work / "test.tgt")
-    save_dictionary(dictionary, work / "dict.jsonl")
-    save_tm(tm_entries, work / "tm.jsonl")
+    write_task(work, {"train": train_pairs, "val": val_pairs, "test": test},
+               dictionary, tm_entries)
 
     lines = [list(p.source) for p in all_train] + [list(p.target) for p in all_train]
     bpe = train_bpe(lines, num_merges=cfg.bpe_merges)

@@ -20,7 +20,6 @@ from promptmt.model import (
     ModelConfig,
     TrainConfig,
     init_params,
-    load_checkpoint,
     save_checkpoint,
 )
 from promptmt.pipeline import RunConfig, build_bundles
@@ -419,23 +418,20 @@ class TestTrainTranslateEvaluate:
         assert r.returncode == 2
         assert "cut.ckpt: truncated" in r.stderr
 
-    @pytest.mark.parametrize("corrupt", ["ndim", "sidecar-n-heads"])
+    @pytest.mark.parametrize("corrupt", ["payload-byte", "sidecar-n-heads", "sidecar-no-vocab-hash"])
     def test_translate_rejects_corrupt_checkpoint(self, artifacts, tmp_path, corrupt):
         work, _ = artifacts
         ckpt = tmp_path / "bad.ckpt"
-        # untrained: the zero biases after the first tensor's shape read as
-        # zero dimensions, so a large ndim gets past the length check
-        _, config, _ = load_checkpoint(work / "model.ckpt")
-        save_checkpoint(ckpt, init_params(config), config, Vocab.load(work / "vocab.txt"))
-        data = bytearray(ckpt.read_bytes())
-        sidecar = json.loads((tmp_path / "bad.ckpt.json").read_text())
-        if corrupt == "ndim":
-            # magic, u16 version, u32 count, u16 name length, name, then ndim
-            name_len = int.from_bytes(data[13:15], "little")
-            data[15 + name_len] = 100
-            named = f"{ckpt}: truncated or corrupt checkpoint in tensor "
-        else:
+        data = bytearray((work / "model.ckpt").read_bytes())
+        sidecar = json.loads((work / "model.ckpt.json").read_text())
+        if corrupt == "payload-byte":
+            data[len(data) // 2] ^= 0x01
+            named = f"{ckpt}: payload sha256 differs"
+        elif corrupt == "sidecar-n-heads":
             sidecar["config"]["n_heads"] = 0
+            named = f"{ckpt}.json: bad checkpoint sidecar"
+        else:
+            del sidecar["vocab_sha256"]
             named = f"{ckpt}.json: bad checkpoint sidecar"
         ckpt.write_bytes(bytes(data))
         (tmp_path / "bad.ckpt.json").write_text(json.dumps(sidecar))

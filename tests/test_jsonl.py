@@ -123,8 +123,8 @@ def valid_files(tmp_path_factory):
 
 
 # replacement bytes that keep a JSON or tree line parseable more often than
-# a random one, and for the binary tensor file, bytes that make sizes zero,
-# one or huge
+# a random one, and for the binary tensor file, bytes that make its version
+# field 0, 1 (the retired layout) or huge; any payload edit breaks the sha256
 JSON_BYTES = b'0123456789"[]{}(),:. \nlnrtue-'
 SWEEP_BYTES = {"ckpt": b"\x00\x01\xff"}
 _names = itertools.count()

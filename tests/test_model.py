@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
 import platform
-import re
 
 import numpy as np
 import pytest
@@ -668,10 +668,13 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(cfg, seed=27), cfg, toy_vocab())
         return path
 
-    def test_truncated_payload_names_file_and_tensor(self, tmp_path):
+    def test_truncated_payload_names_file_and_byte_counts(self, tmp_path):
         path = self.saved(tmp_path)
+        n_bytes = len(path.read_bytes()) - len(CHECKPOINT_MAGIC) - 2
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataError, match=r"model\.ckpt: truncated .*tensor '"):
+        with pytest.raises(DataError, match=rf"model\.ckpt: truncated or corrupt checkpoint: "
+                                            rf"the payload is {n_bytes - 8} bytes, "
+                                            rf"the sidecar config needs {n_bytes}"):
             load_checkpoint(path)
 
     def test_truncated_header_names_file(self, tmp_path):
@@ -680,17 +683,51 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"model\.ckpt: truncated or corrupt"):
             load_checkpoint(path)
 
-    def test_corrupt_ndim_names_file_and_tensor(self, tmp_path):
+    def test_trailing_bytes_name_file_and_byte_counts(self, tmp_path):
+        path = self.saved(tmp_path)
+        n_bytes = len(path.read_bytes()) - len(CHECKPOINT_MAGIC) - 2
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(DataError, match=rf"model\.ckpt: .*the payload is {n_bytes + 3} "
+                                            rf"bytes, the sidecar config needs {n_bytes}"):
+            load_checkpoint(path)
+
+    def test_every_flipped_payload_byte_names_file(self, tmp_path):
+        path = self.saved(tmp_path, d_model=2, n_heads=1, d_ff=2)
+        data = path.read_bytes()
+        for pos in range(len(CHECKPOINT_MAGIC) + 2, len(data)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(DataError, match=r"model\.ckpt: payload sha256 differs"):
+                load_checkpoint(path)
+
+    def test_non_finite_tensor_names_file(self, tmp_path):
+        cfg = tiny_config(vocab_size=17)
+        params = init_params(cfg, seed=28)
+        params["dec0.ff.b1"][3] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, toy_vocab())
+        with pytest.raises(DataError, match=r"model\.ckpt: non-finite value"):
+            load_checkpoint(path)
+
+    def test_version_1_is_unsupported(self, tmp_path):
         path = self.saved(tmp_path)
         data = bytearray(path.read_bytes())
-        # magic, u16 version, u32 count, then the first tensor's u16 name length
-        off = len(CHECKPOINT_MAGIC) + 6
-        name_len = int.from_bytes(data[off : off + 2], "little")
-        name = data[off + 2 : off + 2 + name_len].decode()
-        data[off + 2 + name_len] = 100
+        data[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 2] = (1).to_bytes(2, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(DataError, match=rf"model\.ckpt: .*tensor '{re.escape(name)}'"):
+        with pytest.raises(DataError, match=r"model\.ckpt: unsupported checkpoint version 1$"):
             load_checkpoint(path)
+
+    def test_save_refuses_params_off_the_shape_table(self, tmp_path):
+        cfg = tiny_config(vocab_size=17)
+        params = init_params(cfg)
+        params["enc0.ff.w1"] = params["enc0.ff.w1"].T
+        with pytest.raises(ValueError, match="param_shapes"):
+            save_checkpoint(tmp_path / "model.ckpt", params, cfg, toy_vocab())
+        del params["enc0.ff.w1"]
+        with pytest.raises(ValueError, match="param_shapes"):
+            save_checkpoint(tmp_path / "model.ckpt", params, cfg, toy_vocab())
+        assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("key, value", [("n_heads", 0), ("vocab_size", 1e3)])
     def test_bad_sidecar_size_names_it(self, tmp_path, key, value):
@@ -708,15 +745,27 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"model\.ckpt\.json: bad checkpoint sidecar"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("d_ff", 32, r"tensor 'dec0\.ff\.b1' is \(16,\) in the file, \(32,\)"),
-        ("n_dec_layers", 2, r"tensor 'dec1\.cross\.bo' is absent in the file"),
-    ])
-    def test_sidecar_config_must_match_tensors(self, tmp_path, key, value, message):
+    @pytest.mark.parametrize("field", ["payload_sha256", "vocab_sha256"])
+    def test_sidecar_without_a_hash_names_it(self, tmp_path, field):
+        path = self.saved(tmp_path)
+        sidecar_path = tmp_path / "model.ckpt.json"
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        del sidecar[field]
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"model\.ckpt\.json: bad checkpoint sidecar: "
+                                            rf"KeyError\('{field}'\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("d_ff", 32), ("n_dec_layers", 2)])
+    def test_sidecar_config_must_match_tensors(self, tmp_path, key, value):
         path = self.saved(tmp_path, d_ff=16, n_dec_layers=1)
+        n_bytes = len(path.read_bytes()) - len(CHECKPOINT_MAGIC) - 2
         sidecar_path = tmp_path / "model.ckpt.json"
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         sidecar["config"][key] = value
         sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
-        with pytest.raises(DataError, match=r"model\.ckpt: " + message):
+        config = tiny_config(vocab_size=17, **{"d_ff": 16, "n_dec_layers": 1, key: value})
+        needed = 8 * sum(math.prod(shape) for shape in param_shapes(config).values())
+        with pytest.raises(DataError, match=rf"model\.ckpt: .*the payload is {n_bytes} bytes, "
+                                            rf"the sidecar config needs {needed}$"):
             load_checkpoint(path)
