@@ -23,10 +23,10 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import BpeModel, Vocab, load_parallel, train_bpe, write_tokenized
+from .corpus import BpeModel, Vocab, load_parallel, load_tokenized, train_bpe, write_tokenized
 from .decode import BeamConfig, batch_translate
 from .errors import DataError, read_text, write_json
-from .metrics import evaluate, load_tokenized
+from .metrics import evaluate
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -166,29 +166,23 @@ def cmd_train(args) -> int:
     model_cfg = config_from(ModelConfig, args, vocab_size=len(vocab))
     train_cfg = config_from(TrainConfig, args)
     if args.init:
-        params, ckpt_cfg, sidecar = load_checkpoint(args.init)
+        params, ckpt_cfg = load_checkpoint(args.init, vocab)
         if ckpt_cfg != model_cfg:
             raise DataError(f"{args.init}: checkpoint config differs from the requested one")
-        _check_vocab(args.init, sidecar, vocab)
     else:
         params = init_params(model_cfg, seed=train_cfg.seed)
-    result = train(params, model_cfg, train_set, val_set, train_cfg, vocab, log=print)
+    set_names = (f"{args.data}: training set", f"{args.val or args.data}: validation set")
+    result = train(params, model_cfg, train_set, val_set, train_cfg, vocab, log=print,
+                   set_names=set_names)
     save_checkpoint(args.out, result.params, model_cfg, vocab)
     print(f"best epoch {result.best_epoch}, "
           f"val loss {min(result.val_losses):.4f} -> {args.out}")
     return 0
 
 
-def _check_vocab(ckpt_path, sidecar: dict, vocab: Vocab) -> None:
-    # a checkpoint is only meaningful with the vocabulary it was trained on
-    if sidecar["vocab_sha256"] != vocab.sha256():
-        raise DataError(f"{ckpt_path}: checkpoint was trained with a different vocabulary")
-
-
 def cmd_translate(args) -> int:
-    params, model_cfg, sidecar = load_checkpoint(args.ckpt)
     vocab = Vocab.load(args.vocab)
-    _check_vocab(args.ckpt, sidecar, vocab)
+    params, model_cfg = load_checkpoint(args.ckpt, vocab)
     examples = load_dataset(args.data)
     if args.no_knowledge:
         examples = [strip_knowledge(ex) for ex in examples]
@@ -454,10 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -82,6 +82,11 @@ def load_parallel(source_path: str | Path, target_path: str | Path) -> list[Sent
     return pairs
 
 
+def load_tokenized(path) -> list:
+    """One whitespace-tokenized sentence per line."""
+    return [line.split() for line in read_text(path).splitlines()]
+
+
 def write_tokenized(sentences, path: str | Path) -> None:
     """Write each token sequence as one space-joined line."""
     Path(path).write_text("".join(" ".join(s) + "\n" for s in sentences), encoding="utf-8")

@@ -55,8 +55,8 @@ class BeamConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.length_penalty < 0:
-            raise ValueError(f"length_penalty must be >= 0, got {self.length_penalty}")
+        if not (np.isfinite(self.length_penalty) and self.length_penalty >= 0):
+            raise ValueError(f"length_penalty must be finite and >= 0, got {self.length_penalty}")
 
 
 @dataclass(frozen=True)

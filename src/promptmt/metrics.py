@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import DataError, read_text, write_json
+from .errors import DataError, write_json
 from .terminology import ngrams
 
 MAX_ORDER = 4
@@ -31,12 +31,7 @@ class EvalReport:
     n_matched: int
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "exact_match": self.exact_match,
-            "n_terms": self.n_terms,
-            "n_matched": self.n_matched,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         lines = [
@@ -125,11 +120,6 @@ def evaluate(hypotheses: list, references: list, term_sets=None, smooth: bool = 
         term_sets = [[] for _ in hypotheses]
     accuracy, n_matched, n_terms = exact_match_accuracy(hypotheses, term_sets)
     return EvalReport(bleu=bleu, exact_match=accuracy, n_terms=n_terms, n_matched=n_matched)
-
-
-def load_tokenized(path) -> list:
-    """One whitespace-tokenized sentence per line."""
-    return [line.split() for line in read_text(path).splitlines()]
 
 
 def save_report(report: EvalReport, path) -> None:

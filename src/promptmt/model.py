@@ -10,9 +10,10 @@ backward, _dense_backward, run each weight product as one 2-D matrix
 product (BLAS GEMM) over the flattened batch and position axes: numpy runs
 a 3-D activation times a 2-D weight as one small product per batch row,
 about twice as slow at (64, 17, 64) @ (64, 256). _embed alone checks a
-length against max_positions. The loss is the mean over examples of the
-summed negative log likelihood at masked output positions only, so
-knowledge prefixes condition the decoder without being trained targets.
+length against max_positions, and train each example's before it steps.
+The loss is the mean over examples of the summed negative log likelihood
+at masked output positions only, so knowledge prefixes condition the
+decoder without being trained targets.
 
 A training step frees a working set of tens of MB that the next step
 allocates again. glibc's defaults serve large arrays from fresh mappings
@@ -83,13 +84,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -500,10 +494,6 @@ def _decode(params, config, dec_in, drop: _Dropout, memory, memory_mask, state=N
 
 def loss(logits: np.ndarray, batch: Batch) -> float:
     """Mean over examples of summed NLL at masked positions."""
-    per_example = batch.loss_mask.sum(axis=1)
-    if np.any(per_example == 0):
-        bad = int(np.flatnonzero(per_example == 0)[0])
-        raise DataError(f"example {bad} in batch has an all-zero loss mask")
     logp = log_softmax(logits)
     b, t = batch.out.shape
     nll = -logp[np.arange(b)[:, None], np.arange(t)[None, :], batch.out]
@@ -573,8 +563,11 @@ class TrainConfig:
     schedule: str = "constant"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for k, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1), ("warmup_steps", 0)):
+            if getattr(self, k) < low:
+                raise ValueError(f"{k} must be >= {low}, got {getattr(self, k)}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}, pick from {SCHEDULES}")
 
@@ -637,14 +630,25 @@ def train(
     train_config: TrainConfig,
     vocab: Vocab,
     log=None,
+    set_names=("training set", "validation set"),
 ) -> TrainResult:
     """Adam training loop with early stopping on validation loss.
 
     Deterministic for a fixed seed: shuffling, dropout, and batch order all
     derive from one generator. Returns the best-validation parameters.
+    An example with no loss position or over max_positions is a DataError
+    before the first step, naming the example and its set from set_names.
     """
     if not train_set:
         raise DataError("training set is empty")
+    for name, examples in zip(set_names, (train_set, val_set or ())):
+        for ex in examples:
+            if not any(ex.loss_mask):
+                raise DataError(f"{name}: example {ex.id} has no loss position (inference data?)")
+            longest = max(len(ex.input_tokens), len(ex.output_tokens))
+            if longest > config.max_positions:
+                raise DataError(f"{name}: example {ex.id} has {longest} units, "
+                                f"more than max_positions {config.max_positions}")
     params = {k: v.copy() for k, v in params.items()}
     rng = np.random.default_rng(train_config.seed)
     optimizer = Adam(params, train_config)
@@ -725,19 +729,20 @@ def save_checkpoint(path: str | Path, params: dict, config: ModelConfig, vocab: 
     path = Path(path)
     path.write_bytes(CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(2, "little") + payload)
     sidecar = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "vocab_sha256": vocab.sha256(),
     }
     write_json(str(path) + ".json", sidecar)
 
 
-def load_checkpoint(path: str | Path):
-    """Returns (params, ModelConfig, sidecar dict).
+def load_checkpoint(path: str | Path, vocab: Vocab):
+    """Returns (params, ModelConfig).
 
-    Checks, in order: the magic, the version, the sidecar, the payload
-    length the sidecar's config needs, the payload's sha256, and that every
-    value is finite. A failure raises a DataError naming the file at fault.
+    Checks, in order: the magic, the version, the sidecar, that the
+    checkpoint was trained with vocab, the payload length the sidecar's
+    config needs, the payload's sha256, and that every value is finite. A
+    failure raises a DataError naming the file at fault.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -753,10 +758,11 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"{sidecar_path}: checkpoint sidecar missing")
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        config = ModelConfig.from_dict(sidecar["config"])
+        if sidecar["vocab_sha256"] != vocab.sha256():
+            raise DataError(f"{path}: checkpoint was trained with a different vocabulary")
+        config = ModelConfig(**sidecar["config"])
         shapes = param_shapes(config)
-        # both hashes are required; the caller checks vocab_sha256
-        want_sha256, _ = sidecar["payload_sha256"], sidecar["vocab_sha256"]
+        want_sha256 = sidecar["payload_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and bad sizes,
         # such as 0 or 1e3; KeyError and TypeError a missing or unknown field
@@ -774,4 +780,4 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"{path}: non-finite value in the payload")
     views = np.split(flat, np.cumsum(sizes)[:-1])
     params = {name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)}
-    return params, config, sidecar
+    return params, config

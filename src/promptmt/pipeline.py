@@ -90,7 +90,8 @@ class RunConfig:
         # here, the vocabulary size a placeholder, rejects a bad value
         # before anything is written
         self.model_config(vocab_size=1)
-        self.train_config(self.stage1_epochs, self.seed)
+        for epochs in (self.stage1_epochs, self.stage2_epochs):
+            self.train_config(epochs, self.seed)
         self.beam_config()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -202,7 +203,7 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     # training, so a pair that cannot fit stops the run before it starts;
     # the retrieval pool for training-time prompts is the whole parallel
     # corpus, and a pair's own perfect match is ignored by the index
-    train_tm = TmIndex.from_pairs(all_train)
+    train_tm = TmIndex([(p.id, p.source, p.target) for p in all_train])
     bundles = build_bundles(train_pairs, dictionary, train_tm, cfg)
     val_bundles = build_bundles(val_pairs, dictionary, train_tm, cfg)
     test_bundles = build_bundles(test, dictionary, TmIndex(tm_entries), cfg)
@@ -234,7 +235,7 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
                    cfg.train_config(cfg.stage2_epochs, cfg.seed + 3), vocab, log=log)
 
     save_checkpoint(work / "model.ckpt", result.params, model_cfg, vocab)
-    params, model_cfg, _ = load_checkpoint(work / "model.ckpt")
+    params, model_cfg = load_checkpoint(work / "model.ckpt", vocab)
 
     beam = cfg.beam_config()
     say(f"decoding {len(test)} sentences, beam {beam.beam_size}")

@@ -99,10 +99,6 @@ class TmIndex:
         """(id, src_tokens, tgt_tokens) tuples in insertion order."""
         return list(self._entries)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "TmIndex":
-        return cls([(p.id, p.source, p.target) for p in pairs])
-
     def _bucket_distances(self, query_ids: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Edit distances from one query to every row of a same-length matrix.
 

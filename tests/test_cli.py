@@ -15,7 +15,6 @@ import pytest
 from promptmt.cli import build_parser, load_config_file
 from promptmt.decode import BeamConfig
 from promptmt.errors import DataError
-from promptmt.metrics import load_tokenized
 from promptmt.model import (
     ModelConfig,
     TrainConfig,
@@ -26,7 +25,7 @@ from promptmt.pipeline import RunConfig, build_bundles
 from promptmt.prompt import assemble, build_dataset, load_dataset, save_dataset
 from promptmt.retrieval import load_tm
 from promptmt.terminology import load_dictionary
-from promptmt.corpus import BpeModel, SentencePair, Vocab, load_parallel
+from promptmt.corpus import BpeModel, SentencePair, Vocab, load_parallel, load_tokenized
 from promptmt.synth import SynthConfig, generate
 
 
@@ -359,7 +358,8 @@ class TestTrainTranslateEvaluate:
                     "--out", tmp_path / "m.ckpt")
         assert r.returncode == 0, r.stderr
         config = json.loads((tmp_path / "m.ckpt.json").read_text())["config"]
-        assert config == ModelConfig(vocab_size=len(Vocab.load(work / "vocab.txt"))).to_dict()
+        default = ModelConfig(vocab_size=len(Vocab.load(work / "vocab.txt")))
+        assert config == dataclasses.asdict(default)
 
     @pytest.mark.parametrize("case", ["one-example-data", "empty-val"])
     def test_too_few_examples_is_two_and_named(self, artifacts, tmp_path, case):
@@ -375,6 +375,35 @@ class TestTrainTranslateEvaluate:
         r = run_cli("train", *args, "--vocab", work / "vocab.txt", "--out", tmp_path / "m.ckpt")
         assert r.returncode == 2, r.stderr
         assert f"error: {bad}: " in r.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("case", ["inference-data", "inference-val", "over-max-positions"])
+    def test_unusable_example_is_two_and_named_before_any_epoch(self, artifacts, tmp_path, case):
+        work, _ = artifacts
+        args, named = {
+            "inference-data": (["--data", work / "test.jsonl"],
+                               f"{work / 'test.jsonl'}: training set: example 0 has no loss"),
+            "inference-val": (["--data", work / "train.jsonl", "--val", work / "test.jsonl"],
+                              f"{work / 'test.jsonl'}: validation set: example 0 has no loss"),
+            "over-max-positions": (["--data", work / "train.jsonl", "--max-positions", 6],
+                                   f"{work / 'train.jsonl'}: training set: example "),
+        }[case]
+        r = run_cli("train", *args, "--vocab", work / "vocab.txt", "--out", tmp_path / "m.ckpt")
+        assert r.returncode == 2, r.stderr
+        assert f"error: {named}" in r.stderr
+        if case == "over-max-positions":
+            assert "units, more than max_positions 6" in r.stderr
+        assert "epoch" not in r.stdout
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_init_rejects_foreign_vocabulary(self, artifacts, tmp_path):
+        work, _ = artifacts
+        Vocab.build(["completely", "different"]).save(tmp_path / "v.txt")
+        r = run_cli("train", "--data", work / "train.jsonl", "--vocab", tmp_path / "v.txt",
+                    "--init", work / "model.ckpt", "--out", tmp_path / "m.ckpt")
+        assert r.returncode == 2, r.stderr
+        assert f"{work / 'model.ckpt'}: checkpoint was trained with a different vocabulary" \
+            in r.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_translate_writes_one_line_per_example(self, artifacts):
@@ -553,6 +582,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--d-model", 50), ("--n-heads", 0), ("--beam-size", 0), ("--dropout", 1.0),
         ("--batch-size", 0), ("--bpe-merges", -1), ("--threshold", 1.5),
+        ("--lr", "nan"), ("--lr", -1), ("--patience", 0), ("--warmup-steps", -1),
+        ("--stage1-epochs", -1), ("--stage2-epochs", -1), ("--length-penalty", "nan"),
     ])
     def test_invalid_pipeline_value_is_one_before_any_work(self, tmp_path, flag, value):
         run = tmp_path / "run"
@@ -560,6 +591,16 @@ class TestExitCodes:
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error: ")
         assert not run.exists()
+
+    def test_train_lr_nan_is_one_before_any_work(self, artifacts, tmp_path):
+        # it used to train, then end in a traceback: "training diverged"
+        work, _ = artifacts
+        r = run_cli("train", "--data", work / "train.jsonl", "--vocab", work / "vocab.txt",
+                    "--out", tmp_path / "m.ckpt", "--lr", "nan")
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == "error: lr must be finite and >= 0, got nan\n"
+        assert r.stdout == ""
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_max_input_len_is_gone(self, tmp_path):
         # max_positions is the one length limit

@@ -37,6 +37,8 @@ from promptmt.terminology import (
 CAT = TermEntry(("chat", "noir"), ("猫",), 0)
 DOG = TermEntry(("chien",), ("Hund", "é"), 1)
 PAIR = SentencePair(("le", "chat", "noir"), ("der", "schwarze", "猫"), 0)
+# the vocabulary a checkpoint is saved and loaded with
+CKPT_VOCAB = Vocab.build(PAIR.source)
 
 
 def _write_valid(kind, path):
@@ -59,7 +61,7 @@ def _write_valid(kind, path):
         # a three-digit vocab_size, so one-byte edits reach a float size (1e3)
         config = ModelConfig(vocab_size=123, d_model=2, n_heads=1, n_enc_layers=1,
                              n_dec_layers=1, d_ff=2, max_positions=4)
-        save_checkpoint(path, init_params(config), config, Vocab.build(PAIR.source))
+        save_checkpoint(path, init_params(config), config, CKPT_VOCAB)
     else:
         bundle = KnowledgeBundle(terms=((CAT.source, CAT.target),))
         save_dataset([assemble(PAIR, bundle), assemble(PAIR, include_target=False)], path)
@@ -73,8 +75,8 @@ LOADERS = {
     "vocab": Vocab.load,
     "merges": BpeModel.load,
     "trees": load_trees,
-    "ckpt": load_checkpoint,
-    "sidecar": load_checkpoint,
+    "ckpt": lambda path: load_checkpoint(path, CKPT_VOCAB),
+    "sidecar": lambda path: load_checkpoint(path, CKPT_VOCAB),
 }
 # the file the sweeps corrupt, as a suffix of the path the loader reads;
 # the other half of a checkpoint stays valid

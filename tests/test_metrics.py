@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptmt.corpus import load_tokenized
 from promptmt.errors import DataError
 from promptmt.metrics import (
     EvalReport,
     corpus_bleu,
     evaluate,
     exact_match_accuracy,
-    load_tokenized,
     save_report,
 )
 

@@ -81,10 +81,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="dropout"):
             tiny_config(dropout=1.0)
 
-    def test_dict_round_trip(self):
-        cfg = tiny_config()
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestInit:
     def test_matrices_drawn_in_layer_order(self):
@@ -328,16 +324,6 @@ class TestLoss:
         batch2 = Batch(batch.src, batch.src_pad, relabeled, mask)
         assert loss(logits, batch2) == base
 
-    def test_all_zero_mask_rejected(self):
-        batch = Batch(
-            src=np.array([[5]]),
-            src_pad=np.ones((1, 1)),
-            out=np.array([[3]]),
-            loss_mask=np.zeros((1, 1)),
-        )
-        with pytest.raises(DataError, match="all-zero"):
-            loss(np.zeros((1, 1, 4)), batch)
-
 
 class TestGradients:
     def test_matches_finite_differences(self):
@@ -479,6 +465,27 @@ def copy_examples(n, rng, n_words=8, lo=2, hi=5):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("bad_set", ["training", "validation"])
+    def test_all_zero_mask_rejected(self, bad_set):
+        # an inference example: nothing after [Output] to train on
+        cfg = tiny_config(vocab_size=17)
+        data = copy_examples(4, np.random.default_rng(29))
+        bad = data[:2] + [PromptedExample(7, ("[Input]", "w1"), ("[Output]",), (0,))]
+        sets = (bad, data) if bad_set == "training" else (data, bad)
+        with pytest.raises(DataError, match=f"^{bad_set} set: example 7 has no loss position"):
+            train(init_params(cfg), cfg, *sets, TrainConfig(max_epochs=1), toy_vocab())
+
+    def test_example_over_max_positions_rejected_before_any_step(self):
+        cfg = tiny_config(vocab_size=17, max_positions=6)
+        data = copy_examples(4, np.random.default_rng(30), lo=2, hi=3)
+        long = copy_examples(1, np.random.default_rng(31), lo=6, hi=6)[0]
+        seen = []
+        with pytest.raises(DataError, match=r"^held out: example 0 has 8 units, "
+                                            r"more than max_positions 6$"):
+            train(init_params(cfg), cfg, data, [long], TrainConfig(max_epochs=1), toy_vocab(),
+                  log=seen.append, set_names=("train", "held out"))
+        assert seen == []
+
     def test_zero_epochs_leaves_params_unchanged(self):
         cfg = tiny_config(vocab_size=17)
         params = init_params(cfg, seed=14)
@@ -640,18 +647,23 @@ class TestCheckpoint:
         vocab = toy_vocab()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg, vocab)
-        loaded, loaded_cfg, sidecar = load_checkpoint(path)
+        loaded, loaded_cfg = load_checkpoint(path, vocab)
         assert loaded_cfg == cfg
-        assert sidecar["vocab_sha256"] == vocab.sha256()
         assert sorted(loaded) == sorted(params)
         for k in params:
             assert np.array_equal(loaded[k], params[k])
+
+    def test_foreign_vocabulary_names_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        with pytest.raises(DataError, match=r"model\.ckpt: checkpoint was trained with a "
+                                            r"different vocabulary$"):
+            load_checkpoint(path, toy_vocab(9))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"garbage")
         with pytest.raises(DataError, match="magic"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_missing_sidecar_rejected(self, tmp_path):
         cfg = tiny_config(vocab_size=17)
@@ -660,7 +672,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg, toy_vocab())
         (tmp_path / "model.ckpt.json").unlink()
         with pytest.raises(DataError, match="sidecar"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def saved(self, tmp_path, **overrides):
         cfg = tiny_config(vocab_size=17, **overrides)
@@ -675,13 +687,13 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=rf"model\.ckpt: truncated or corrupt checkpoint: "
                                             rf"the payload is {n_bytes - 8} bytes, "
                                             rf"the sidecar config needs {n_bytes}"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_truncated_header_names_file(self, tmp_path):
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:12])
         with pytest.raises(DataError, match=r"model\.ckpt: truncated or corrupt"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_trailing_bytes_name_file_and_byte_counts(self, tmp_path):
         path = self.saved(tmp_path)
@@ -689,7 +701,7 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + bytes(3))
         with pytest.raises(DataError, match=rf"model\.ckpt: .*the payload is {n_bytes + 3} "
                                             rf"bytes, the sidecar config needs {n_bytes}"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_every_flipped_payload_byte_names_file(self, tmp_path):
         path = self.saved(tmp_path, d_model=2, n_heads=1, d_ff=2)
@@ -699,7 +711,7 @@ class TestCheckpoint:
             flipped[pos] ^= 0xFF
             path.write_bytes(bytes(flipped))
             with pytest.raises(DataError, match=r"model\.ckpt: payload sha256 differs"):
-                load_checkpoint(path)
+                load_checkpoint(path, toy_vocab())
 
     def test_non_finite_tensor_names_file(self, tmp_path):
         cfg = tiny_config(vocab_size=17)
@@ -708,7 +720,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg, toy_vocab())
         with pytest.raises(DataError, match=r"model\.ckpt: non-finite value"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_version_1_is_unsupported(self, tmp_path):
         path = self.saved(tmp_path)
@@ -716,7 +728,7 @@ class TestCheckpoint:
         data[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 2] = (1).to_bytes(2, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match=r"model\.ckpt: unsupported checkpoint version 1$"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_save_refuses_params_off_the_shape_table(self, tmp_path):
         cfg = tiny_config(vocab_size=17)
@@ -737,13 +749,13 @@ class TestCheckpoint:
         sidecar["config"][key] = value
         sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(DataError, match=r"model\.ckpt\.json: bad checkpoint sidecar"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     def test_malformed_sidecar_names_it(self, tmp_path):
         path = self.saved(tmp_path)
         (tmp_path / "model.ckpt.json").write_text('{"config": ', encoding="utf-8")
         with pytest.raises(DataError, match=r"model\.ckpt\.json: bad checkpoint sidecar"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     @pytest.mark.parametrize("field", ["payload_sha256", "vocab_sha256"])
     def test_sidecar_without_a_hash_names_it(self, tmp_path, field):
@@ -754,7 +766,7 @@ class TestCheckpoint:
         sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(DataError, match=rf"model\.ckpt\.json: bad checkpoint sidecar: "
                                             rf"KeyError\('{field}'\)"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
 
     @pytest.mark.parametrize("key, value", [("d_ff", 32), ("n_dec_layers", 2)])
     def test_sidecar_config_must_match_tensors(self, tmp_path, key, value):
@@ -768,4 +780,4 @@ class TestCheckpoint:
         needed = 8 * sum(math.prod(shape) for shape in param_shapes(config).values())
         with pytest.raises(DataError, match=rf"model\.ckpt: .*the payload is {n_bytes} bytes, "
                                             rf"the sidecar config needs {needed}$"):
-            load_checkpoint(path)
+            load_checkpoint(path, toy_vocab())
