@@ -234,14 +234,7 @@ def cmd_pipeline(args) -> int:
     cfg = _pipeline_config(args)
     work = Path(args.work)
     out = run_pipeline(cfg, work, log=print if args.verbose else None)
-    print(json.dumps(
-        {
-            "prompted": out["prompted"].to_dict(),
-            "unprompted": out["unprompted"].to_dict(),
-            "stats": out["stats"],
-        },
-        indent=2,
-    ))
+    print(json.dumps(out, indent=2, default=dataclasses.asdict))
     return 0
 
 

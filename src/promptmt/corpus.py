@@ -92,11 +92,6 @@ def write_tokenized(sentences, path: str | Path) -> None:
     Path(path).write_text("".join(" ".join(s) + "\n" for s in sentences), encoding="utf-8")
 
 
-def write_parallel(pairs: list[SentencePair], source_path: str | Path, target_path: str | Path) -> None:
-    write_tokenized([p.source for p in pairs], source_path)
-    write_tokenized([p.target for p in pairs], target_path)
-
-
 class Vocab:
     """Bijective token <-> id map with the reserved tokens at ids 0..8."""
 

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .errors import DataError, write_json
+from .errors import DataError
 from .terminology import ngrams
 
 MAX_ORDER = 4
@@ -120,7 +120,3 @@ def evaluate(hypotheses: list, references: list, term_sets=None, smooth: bool = 
         term_sets = [[] for _ in hypotheses]
     accuracy, n_matched, n_terms = exact_match_accuracy(hypotheses, term_sets)
     return EvalReport(bleu=bleu, exact_match=accuracy, n_terms=n_terms, n_matched=n_matched)
-
-
-def save_report(report: EvalReport, path) -> None:
-    write_json(path, report.to_dict())

@@ -14,12 +14,12 @@ configuration produce identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_parallel, write_tokenized
+from .corpus import Vocab, bpe_encode_sequence, train_bpe, write_tokenized
 from .errors import write_json
-from .metrics import EvalReport, evaluate, save_report
+from .metrics import evaluate
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -83,15 +83,16 @@ class RunConfig:
         bad = [k for k in self.knowledge if k not in KNOWLEDGE_KINDS]
         if bad:
             raise ValueError(f"unknown knowledge kinds {bad}, pick from {KNOWLEDGE_KINDS}")
-        if self.bpe_merges < 0:
-            raise ValueError(f"bpe_merges must be >= 0, got {self.bpe_merges}")
+        # the epochs are checked here so an error names them, not max_epochs
+        for name in ("bpe_merges", "stage1_epochs", "stage2_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         check_threshold(self.threshold)
         # the configs the run builds check their own values; building them
         # here, the vocabulary size a placeholder, rejects a bad value
         # before anything is written
         self.model_config(vocab_size=1)
-        for epochs in (self.stage1_epochs, self.stage2_epochs):
-            self.train_config(epochs, self.seed)
+        self.train_config(self.stage1_epochs, self.seed)
         self.beam_config()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -158,13 +159,15 @@ def write_task(out: Path, splits: dict, dictionary, tm_entries) -> None:
     name.src and name.tgt, the dictionary as dict.jsonl, the TM as tm.jsonl."""
     out.mkdir(parents=True, exist_ok=True)
     for name, pairs in splits.items():
-        write_parallel(pairs, out / f"{name}.src", out / f"{name}.tgt")
+        write_tokenized([p.source for p in pairs], out / f"{name}.src")
+        write_tokenized([p.target for p in pairs], out / f"{name}.tgt")
     save_dictionary(dictionary, out / "dict.jsonl")
     save_tm(tm_entries, out / "tm.jsonl")
 
 
 def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
-    """Execute the experiment; returns {"prompted", "unprompted", "stats"}.
+    """Execute the experiment; returns {"prompted", "unprompted", "stats"}:
+    the two conditions' EvalReports and the prompted decode's stats.
 
     Intermediate artifacts (corpora, BPE merges, vocabulary, datasets,
     checkpoint, hypotheses, reports) are written under work_dir.
@@ -204,15 +207,12 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
     # the retrieval pool for training-time prompts is the whole parallel
     # corpus, and a pair's own perfect match is ignored by the index
     train_tm = TmIndex([(p.id, p.source, p.target) for p in all_train])
-    bundles = build_bundles(train_pairs, dictionary, train_tm, cfg)
-    val_bundles = build_bundles(val_pairs, dictionary, train_tm, cfg)
+    bundles = build_bundles(all_train, dictionary, train_tm, cfg)
     test_bundles = build_bundles(test, dictionary, TmIndex(tm_entries), cfg)
-    n_hits = sum(1 for b in bundles + val_bundles if b.similar is not None)
-    say(f"knowledge: {n_hits}/{len(bundles) + len(val_bundles)} pairs "
-        f"with a fuzzy match above {cfg.threshold}")
+    n_hits = sum(1 for b in bundles if b.similar is not None)
+    say(f"knowledge: {n_hits}/{len(bundles)} pairs with a fuzzy match above {cfg.threshold}")
     options = dict(bpe=bpe, max_positions=cfg.max_positions)
-    prompted_train = build_dataset(train_pairs, bundles, **options)
-    prompted_val = build_dataset(val_pairs, val_bundles, **options)
+    prompted_train, prompted_val = _split_train_val(build_dataset(all_train, bundles, **options))
     prompted_test = build_dataset(test, test_bundles, include_target=False, **options)
     plain_train, plain_val, plain_test = (
         [strip_knowledge(ex) for ex in examples]
@@ -239,26 +239,17 @@ def run_pipeline(cfg: RunConfig, work_dir, log=None) -> dict:
 
     beam = cfg.beam_config()
     say(f"decoding {len(test)} sentences, beam {beam.beam_size}")
-    prompted_hyp, stats = batch_translate(params, model_cfg, vocab, prompted_test, beam, bpe=bpe)
-    plain_hyp, plain_stats = batch_translate(params, model_cfg, vocab, plain_test, beam, bpe=bpe)
-    write_tokenized(prompted_hyp, work / "hyp.prompted.txt")
-    write_tokenized(plain_hyp, work / "hyp.plain.txt")
-    write_json(work / "stats.prompted.json", stats)
-    write_json(work / "stats.plain.json", plain_stats)
-
     refs = [list(p.target) for p in test]
     term_sets = [
         [list(e.target) for e in dictionary.match(p.source, p.target)] for p in test
     ]
-    prompted_report = evaluate(prompted_hyp, refs, term_sets)
-    plain_report = evaluate(plain_hyp, refs, term_sets)
-    save_report(prompted_report, work / "report.prompted.json")
-    save_report(plain_report, work / "report.plain.json")
-    say("prompted:\n" + prompted_report.render())
-    say("unprompted:\n" + plain_report.render())
-
-    return {
-        "prompted": prompted_report,
-        "unprompted": plain_report,
-        "stats": stats,
-    }
+    reports, stats = {}, {}
+    for name, key, examples in (("prompted", "prompted", prompted_test),
+                                ("plain", "unprompted", plain_test)):
+        hyp, stats[name] = batch_translate(params, model_cfg, vocab, examples, beam, bpe=bpe)
+        write_tokenized(hyp, work / f"hyp.{name}.txt")
+        write_json(work / f"stats.{name}.json", stats[name])
+        reports[key] = evaluate(hyp, refs, term_sets)
+        write_json(work / f"report.{name}.json", asdict(reports[key]))
+        say(f"{key}:\n" + reports[key].render())
+    return {**reports, "stats": stats["prompted"]}

@@ -135,10 +135,16 @@ def save_matches(matches: list, path: str | Path) -> None:
     )
 
 
-def _match(rec, _):
-    # each term is a [src, tgt] pair of space-joined strings
+def _match(rec, index):
+    # each term is a [src, tgt] pair of space-joined strings, neither empty;
+    # a record's id is its record number, as match-terms writes it
+    if integer(rec["id"]) != index:
+        raise DataError(f"id {rec['id']} is not the record number {index}")
     sides = [tokens(term) for term in rec["terms"]]
-    return integer(rec["id"]), [(tuple(src.split()), tuple(tgt.split())) for src, tgt in sides]
+    terms = [(tuple(src.split()), tuple(tgt.split())) for src, tgt in sides]
+    if not all(src and tgt for src, tgt in terms):
+        raise DataError("a term has an empty side")
+    return index, terms
 
 
 def load_matches(path: str | Path) -> list:

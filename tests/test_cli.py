@@ -590,6 +590,8 @@ class TestExitCodes:
         r = run_cli("pipeline", "--work", run, flag, value)
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error: ")
+        # the message names the field the flag sets
+        assert flag[2:].replace("-", "_") in r.stderr
         assert not run.exists()
 
     def test_train_lr_nan_is_one_before_any_work(self, artifacts, tmp_path):

@@ -20,7 +20,7 @@ from promptmt.corpus import (
     bpe_encode_sequence,
     load_parallel,
     train_bpe,
-    write_parallel,
+    write_tokenized,
 )
 
 
@@ -60,7 +60,8 @@ def test_parallel_round_trip(tmp_path):
         SentencePair(("the", "cat"), ("le", "chat"), 0),
         SentencePair(("dog",), ("chien", "brun"), 1),
     ]
-    write_parallel(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+    write_tokenized([p.source for p in pairs], tmp_path / "s.txt")
+    write_tokenized([p.target for p in pairs], tmp_path / "t.txt")
     assert load_parallel(tmp_path / "s.txt", tmp_path / "t.txt") == pairs
 
 

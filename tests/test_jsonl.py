@@ -187,6 +187,9 @@ BAD = [
     ("dict", "term", '{"id": true, "src": ["a"], "tgt": ["b"]}'),
     ("matches", "match", '{"id": "1", "terms": []}'),
     ("dataset", "example", '{"id": 1, "input": ["[Input]"], "output": ["[Output]"], "mask": ["0"]}'),
+    # a term match needs both sides, and its id is its record number
+    ("matches", "match", '{"id": 1, "terms": [["a", ""]]}'),
+    ("matches", "match", '{"id": 5, "terms": []}'),
     # null is a bad record in every file read back
     ("tm", "TM", "null"),
     ("dict", "term", "null"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -16,7 +15,6 @@ from promptmt.metrics import (
     corpus_bleu,
     evaluate,
     exact_match_accuracy,
-    save_report,
 )
 
 WORDS = st.sampled_from(["the", "cat", "sat", "down", "on", "a", "mat", "big"])
@@ -167,13 +165,6 @@ class TestEvaluate:
         assert "36.62" in text
         assert "0.8453" in text
         assert "84/100" in text
-
-    def test_save_load_roundtrip(self, tmp_path):
-        report = EvalReport(bleu=50.0, exact_match=0.75, n_terms=4, n_matched=3)
-        save_report(report, tmp_path / "report.json")
-        # nothing reads a report back; the file is the report's fields
-        saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-        assert EvalReport(**saved) == report
 
 
 class TestLoadTokenized:

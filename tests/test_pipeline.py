@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior on deliberately tiny configurations."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -99,6 +100,19 @@ class TestRunPipeline:
             "report.prompted.json", "report.plain.json",
         ]:
             assert (tmp_path / "run" / name).exists(), name
+
+    def test_each_condition_writes_its_own_report_and_stats(self, tmp_path):
+        out = run_pipeline(tiny_config(), tmp_path / "run")
+
+        def saved(name):
+            return json.loads((tmp_path / "run" / name).read_text(encoding="utf-8"))
+
+        assert saved("report.prompted.json") == dataclasses.asdict(out["prompted"])
+        assert saved("report.plain.json") == dataclasses.asdict(out["unprompted"])
+        # the returned stats are the prompted decode's, which forces the
+        # knowledge prefix; plain decoding forces only [Output]
+        assert saved("stats.prompted.json") == out["stats"]
+        assert out["stats"]["mean_forced"] > saved("stats.plain.json")["mean_forced"] == 1.0
 
     def test_same_seed_reproduces_everything(self, tmp_path):
         cfg = tiny_config()
